@@ -6,24 +6,21 @@
 //
 //   [1] the original tensor-vs-NLJ sweep over prefetched matrices;
 //   [2] EmbedBatch throughput, sequential vs pool-parallel;
-//   [3] end-to-end string joins through the Engine for the scan-family
-//       operators, including `pipelined_tensor` (embedding overlapped
-//       with the sweep on the streaming surface), with a NON-OVERLAPPING
-//       time breakdown: embed[ms] + join[ms] components sum to the
-//       end-to-end wall, the pipelined operator's hidden model time is
-//       the separate "hidden" column (a subset of join, never added);
+//   [3] end-to-end string joins through the Engine streaming surface for
+//       the prefetched scan operators (`prefetch_nlj` vs `tensor`), with
+//       a NON-OVERLAPPING time breakdown: embed[ms] + join[ms] components
+//       sum to at most the end-to-end wall;
 //   [4] cold vs warm embedding-cache runs of the same query;
-//   [5] the sharded tensor join across shard counts on one prefetched
-//       matrix join (whole-right-relation parallelism vs the tensor
-//       operator's left-tile splitting).
+//   [5] the tensor join across pinned shard counts on one prefetched
+//       matrix join (its right-row schedule vs the one-shard left-tile
+//       schedule).
 //
 // Expected shape: [1] tensor ~an order of magnitude faster, both linear
-// in |R|*|S|; [2] parallel embedding scales with cores; [3] pipelined <=
-// tensor < prefetch_nlj end-to-end, with the pipelined gap widest when
-// embed and sweep cost are balanced; [4] warm runs report zero model
-// calls and drop the embedding term entirely; [5] sharded time falls
-// with shard count until the pool saturates, identical pair counts
-// throughout.
+// in |R|*|S|; [2] parallel embedding scales with cores; [3] tensor <
+// prefetch_nlj end-to-end, both paying exactly |R| + |S| model calls;
+// [4] warm runs report zero model calls and drop the embedding term
+// entirely; [5] time falls with shard count until the pool saturates,
+// identical pair counts throughout.
 
 #include <cstdio>
 #include <string>
@@ -33,7 +30,6 @@
 #include "cej/api/engine.h"
 #include "cej/common/cpu_info.h"
 #include "cej/join/nlj_prefetch.h"
-#include "cej/join/sharded_join.h"
 #include "cej/join/tensor_join.h"
 #include "cej/model/subword_hash_model.h"
 #include "cej/workload/generators.h"
@@ -168,12 +164,9 @@ E2eRun RunE2e(const std::vector<std::string>& left_words,
   return run;
 }
 
-// [3] End-to-end string joins: the scan-family operators, with a
+// [3] End-to-end string joins: the prefetched scan operators, with a
 // NON-OVERLAPPING component breakdown. embed[ms] + join[ms] add up to
-// (at most) the e2e wall; the model time a pipelined operator hides
-// inside its sweep is the separate "hidden" column — a subset of join,
-// reported informationally and never summed (summing it used to
-// double-count the overlapped embedding in e2e reports).
+// (at most) the e2e wall.
 void BenchE2eOperators(const model::SubwordHashModel& model) {
   std::vector<E2eCase> cases;
   if (bench::FullScale()) {
@@ -181,42 +174,32 @@ void BenchE2eOperators(const model::SubwordHashModel& model) {
   } else if (bench::SmokeScale()) {
     cases = {{100, 2000}};
   } else {
-    // Spans embed-dominant (small |R|) to sweep-dominant (large |R|): the
-    // pipelined win peaks where the two phases are balanced.
+    // Spans embed-dominant (small |R|) to sweep-dominant (large |R|).
     cases = {{200, 30000}, {2000, 30000}, {10000, 30000}};
   }
 
   std::printf(
       "\n[3] end-to-end string join, dim %zu, threshold 0.8, cold cache\n",
       model.dim());
-  std::printf("%-16s %-18s %10s %10s %10s %10s %10s\n", "|R| x |S|",
-              "operator", "e2e[ms]", "embed[ms]", "join[ms]", "hidden[ms]",
-              "calls");
+  std::printf("%-16s %-18s %10s %10s %10s %10s\n", "|R| x |S|", "operator",
+              "e2e[ms]", "embed[ms]", "join[ms]", "calls");
   for (const auto& c : cases) {
     auto left_words = workload::RandomStrings(c.m, 6, 14, 21);
     auto right_words = workload::RandomStrings(c.n, 6, 14, 22);
     char label[40];
     std::snprintf(label, sizeof(label), "%zu x %zu", c.m, c.n);
-    uint64_t prefetch_calls = 0, pipelined_calls = 0;
-    for (const char* op : {"prefetch_nlj", "tensor", "pipelined_tensor"}) {
+    for (const char* op : {"prefetch_nlj", "tensor"}) {
       const E2eRun run = RunE2e(left_words, right_words, model, op);
-      if (std::string(op) == "prefetch_nlj") prefetch_calls = run.model_calls;
-      if (std::string(op) == "pipelined_tensor") {
-        pipelined_calls = run.model_calls;
-      }
-      std::printf("%-16s %-18s %10.1f %10.1f %10.1f %10.1f %10llu\n", label,
-                  op, run.ms, run.join_stats.embed_seconds * 1e3,
+      std::printf("%-16s %-18s %10.1f %10.1f %10.1f %10llu\n", label, op,
+                  run.ms, run.join_stats.embed_seconds * 1e3,
                   run.join_stats.join_seconds * 1e3,
-                  run.join_stats.embed_overlapped_seconds * 1e3,
                   static_cast<unsigned long long>(run.model_calls));
-      // The component sum must never exceed the measured wall: the
-      // overlapped model time lives inside join[ms], not next to it.
+      // The component sum must never exceed the measured wall.
       CEJ_CHECK(run.join_stats.embed_seconds + run.join_stats.join_seconds <=
                 run.ms / 1e3 * 1.05 + 1e-3);
+      // Prefetched operators pay exactly |R| + |S| model calls.
+      CEJ_CHECK(run.model_calls == c.m + c.n);
     }
-    // The fused path must still pay exactly |R| + |S| model calls.
-    CEJ_CHECK(pipelined_calls == prefetch_calls &&
-              pipelined_calls == c.m + c.n);
   }
 }
 
@@ -258,21 +241,23 @@ void BenchColdWarmCache(const model::SubwordHashModel& model) {
   }
 }
 
-// [5] The sharded tensor join: one prefetched matrix join swept at
-// growing shard counts. Shards parallelize over the RIGHT relation, so
-// the sweep keeps scaling even when |R| is below one left tile (where the
-// tensor operator's left-tile parallelism starves).
+// [5] The tensor join's shard sweep: one prefetched matrix join at growing
+// pinned shard counts. One shard runs the left-tile schedule; more shards
+// parallelize over the RIGHT relation, so the sweep keeps scaling even
+// when |R| is below one left tile (where left-tile parallelism starves).
 void BenchShardSweep() {
   const size_t m = bench::SmokeScale() ? 300 : bench::Scaled(192, 192);
   const size_t n = bench::SmokeScale() ? 4000 : bench::Scaled(120000, 600000);
   la::Matrix left = workload::RandomUnitVectors(m, kDim, 51);
   la::Matrix right = workload::RandomUnitVectors(n, kDim, 52);
-  // Top-k: the condition that exercises the sharded per-left-row collector
-  // merge (a threshold join streams pairs without a merge pass).
+  // Top-k: the condition that exercises the per-left-row collector merge
+  // of the right-row schedule (a threshold join streams pairs without a
+  // merge pass).
   const auto condition = join::JoinCondition::TopK(8);
 
   join::TensorJoinOptions tensor_options;
   tensor_options.pool = &bench::Pool();
+  tensor_options.shard_count = 1;
   join::CountingSink baseline_sink;
   const double tensor_ms = bench::TimeMs([&] {
     auto r = join::TensorJoinMatricesToSink(left, right, condition,
@@ -281,28 +266,27 @@ void BenchShardSweep() {
   });
 
   std::printf(
-      "\n[5] sharded_tensor shard sweep, %zu x %zu, dim %zu, %d threads\n",
+      "\n[5] tensor shard sweep, %zu x %zu, dim %zu, %d threads\n",
       m, n, kDim, bench::Pool().num_threads());
   std::printf("%-24s %12s %10s %12s\n", "configuration", "time[ms]",
               "speedup", "pairs");
-  std::printf("%-24s %12.1f %10s %12llu\n", "tensor (left tiles)", tensor_ms,
+  std::printf("%-24s %12.1f %10s %12llu\n", "x1 (left tiles)", tensor_ms,
               "1.00x",
               static_cast<unsigned long long>(baseline_sink.count()));
-  for (size_t shard_count : {size_t{1}, size_t{2}, size_t{4}, size_t{8},
-                             size_t{0}}) {
-    join::ShardedJoinOptions options;
+  for (size_t shard_count : {size_t{2}, size_t{4}, size_t{8}, size_t{0}}) {
+    join::TensorJoinOptions options;
     options.pool = &bench::Pool();
     options.shard_count = shard_count;
     join::CountingSink sink;
     size_t shards_used = 0;
     const double ms = bench::TimeMs([&] {
-      auto r = join::ShardedTensorJoinMatricesToSink(left, right, condition,
-                                                     options, &sink);
+      auto r = join::TensorJoinMatricesToSink(left, right, condition, options,
+                                              &sink);
       CEJ_CHECK(r.ok());
       shards_used = r->shards_used;
     });
     char label[40];
-    std::snprintf(label, sizeof(label), "sharded x%zu%s", shards_used,
+    std::snprintf(label, sizeof(label), "x%zu%s", shards_used,
                   shard_count == 0 ? " (auto)" : "");
     // Sharding must never change the result, only the wall time.
     CEJ_CHECK(sink.count() == baseline_sink.count());
@@ -327,10 +311,10 @@ int main() {
 
   std::printf(
       "\n# shape check: [1] tensor ~an order of magnitude faster; "
-      "[2] parallel EmbedBatch scales with cores; [3] pipelined_tensor <= "
-      "tensor < prefetch_nlj, embed+join components never double-count the "
-      "hidden overlap; [4] warm runs report zero model calls; [5] sharded "
-      "speedup grows with shards until the pool saturates, pair counts "
+      "[2] parallel EmbedBatch scales with cores; [3] tensor < prefetch_nlj, "
+      "both at exactly |R|+|S| model calls, embed+join components within "
+      "the e2e wall; [4] warm runs report zero model calls; [5] speedup "
+      "grows with shards until the pool saturates, pair counts "
       "identical.\n");
   return 0;
 }

@@ -2,9 +2,10 @@
 // join, should the engine SCAN (pre-filtered tensor join) or PROBE (HNSW
 // index)? This example calibrates an Engine's cost model on the local
 // machine, shows a real query's registry-based operator selection with
-// both cost estimates, then prints the advisor's decision surface over
-// selectivity for the three condition shapes the paper evaluates — the
-// programmatic form of Figures 15-17's crossovers.
+// both cost estimates, then prints the decision surface over selectivity
+// for the three condition shapes the paper evaluates — the programmatic
+// form of Figures 15-17's crossovers — from the same registry quotes the
+// executor's cost scan compares.
 
 #include <cstdio>
 
@@ -15,13 +16,32 @@ using namespace cej;
 
 namespace {
 
-void PrintDecisionRow(const char* label, plan::AccessPathQuery query,
-                      const plan::CostParams& params) {
+// The scan ("tensor") and probe ("index") quotes for one workload — the
+// per-operator EstimateCost the registry scan uses at execution time.
+struct ScanProbeQuotes {
+  double scan;
+  double probe;
+  plan::AccessPath path() const {
+    return scan <= probe ? plan::AccessPath::kScan : plan::AccessPath::kProbe;
+  }
+};
+
+ScanProbeQuotes Quote(const join::JoinWorkload& workload,
+                      const join::CostParams& params) {
+  const auto& registry = join::JoinOperatorRegistry::Global();
+  return {(*registry.Find("tensor"))->EstimateCost(workload, params),
+          (*registry.Find("index"))->EstimateCost(workload, params)};
+}
+
+void PrintDecisionRow(const char* label, join::JoinWorkload workload,
+                      const join::CostParams& params) {
   std::printf("%-22s |", label);
   for (int sel = 0; sel <= 100; sel += 10) {
-    query.right_selectivity = sel / 100.0;
-    auto d = plan::ChooseAccessPath(query, params);
-    std::printf(" %s", d.path == plan::AccessPath::kScan ? "S" : "P");
+    workload.right_selectivity = sel / 100.0;
+    std::printf(" %s", Quote(workload, params).path() ==
+                               plan::AccessPath::kScan
+                           ? "S"
+                           : "P");
   }
   std::printf("\n");
 }
@@ -49,7 +69,7 @@ int main() {
   // Calibrate the engine's cost parameters on this machine.
   Engine engine;
   engine.CalibrateCosts(model);
-  const plan::CostParams& params = engine.cost_params();
+  const join::CostParams& params = engine.cost_params();
   std::printf("calibrated on this machine: A=%.1f ns, M=%.1f ns, "
               "C=%.1f ns per unit\n\n",
               params.access, params.model, params.compute);
@@ -84,7 +104,7 @@ int main() {
 
   // The decision surface at paper scale, priced without running: the same
   // per-operator EstimateCost the registry scan uses at execution time.
-  plan::AccessPathQuery query;
+  join::JoinWorkload query;
   query.left_rows = 10000;
   query.right_rows = 1000000;
   query.index_available = true;
@@ -102,11 +122,11 @@ int main() {
   // Show the raw costs at one interesting point.
   query.condition = join::JoinCondition::TopK(1);
   query.right_selectivity = 0.25;
-  auto d = plan::ChooseAccessPath(query, params);
+  const ScanProbeQuotes quotes = Quote(query, params);
   std::printf("\nat 25%% selectivity, top-1: scan=%.1f ms, probe=%.1f ms "
               "-> %s\n",
-              d.scan_cost / 1e6, d.probe_cost / 1e6,
-              plan::AccessPathName(d.path));
+              quotes.scan / 1e6, quotes.probe / 1e6,
+              plan::AccessPathName(quotes.path()));
   std::printf("expected shape: the probe region grows with top-1, shrinks "
               "with top-32, and nearly vanishes for range conditions.\n");
   return 0;

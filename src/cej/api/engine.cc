@@ -259,7 +259,7 @@ void Engine::CalibrateCosts(const model::EmbeddingModel& model) {
   set_cost_params(plan::Calibrate(model));
 }
 
-void Engine::set_cost_params(const plan::CostParams& params) {
+void Engine::set_cost_params(const join::CostParams& params) {
   cost_params_ = params;
   // The seed changed under the calibrator: restart learning from it (the
   // observation history ring is kept for diagnostics).
@@ -721,8 +721,8 @@ Result<std::string> QueryBuilder::Explain() const {
   // with, and the recent per-join misprediction history feeding them.
   if (engine_->calibrator() != nullptr) {
     const stats::CostCalibrator& calibrator = *engine_->calibrator();
-    const plan::CostParams seed = calibrator.seed();
-    const plan::CostParams current = *calibrator.Current();
+    const join::CostParams seed = calibrator.seed();
+    const join::CostParams current = *calibrator.Current();
     const auto calibrator_stats = calibrator.stats();
     char line[160];
     out += "— adaptive stats —\n";
@@ -749,8 +749,6 @@ Result<std::string> QueryBuilder::Explain() const {
                 current.probe_per_candidate);
     coefficient("parallel_efficiency", seed.parallel_efficiency,
                 current.parallel_efficiency);
-    coefficient("pipeline_overlap", seed.pipeline_overlap,
-                current.pipeline_overlap);
     std::snprintf(line, sizeof(line),
                   "  %llu explorations, %.3f ms exploration overhead%s\n",
                   static_cast<unsigned long long>(

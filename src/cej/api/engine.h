@@ -98,9 +98,10 @@ class Engine {
     /// a registered table's key column is embedded once and reused across
     /// queries (LRU-evicted past the budget). 0 disables the cache.
     size_t embedding_cache_bytes = size_t{256} << 20;
-    /// Right-relation shards for the sharding join operators. 0 (auto)
-    /// sizes shards from the pool width and the operator's shard-row
-    /// floor; a fixed count pins it for experiments / bench sweeps.
+    /// Shards for the sharding join operators (the tensor join's right
+    /// rows, the index join's left probes). 0 (auto) sizes shards from the
+    /// pool width and the operator's shard-row floor; a fixed count pins
+    /// it for experiments / bench sweeps.
     size_t join_shard_count = 0;
     /// Auto-build policy: after this many cost-scan losses where an index
     /// plan *would* have won (the index operator priced cheapest but no
@@ -258,10 +259,10 @@ class Engine {
   /// cost-model parameters (plan::Calibrate). With adaptive stats enabled
   /// this re-seeds the calibrator (discarding what it learned).
   void CalibrateCosts(const model::EmbeddingModel& model);
-  void set_cost_params(const plan::CostParams& params);
+  void set_cost_params(const join::CostParams& params);
   /// The SEED parameters. With adaptive stats enabled, queries price with
   /// the calibrator's current snapshot instead: calibrator()->Current().
-  const plan::CostParams& cost_params() const { return cost_params_; }
+  const join::CostParams& cost_params() const { return cost_params_; }
 
   // --- Adaptive statistics ------------------------------------------------
 
@@ -306,7 +307,7 @@ class Engine {
   Options options_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<EmbeddingCache> embedding_cache_;
-  plan::CostParams cost_params_;
+  join::CostParams cost_params_;
   /// Non-null iff Options::adaptive_stats. Queries borrow the pointer for
   /// observation recording; refits publish immutable snapshots, so plans
   /// copied their prices at MakeExecContext time and never race one.

@@ -5,7 +5,7 @@
 
 #include "cej/common/timer.h"
 #include "cej/join/join_sink.h"
-#include "cej/join/sharded_join.h"
+#include "cej/join/sweep_kernel.h"
 
 namespace cej::join {
 
@@ -29,17 +29,13 @@ Result<JoinStats> IndexJoinToSink(const la::Matrix& left,
     return stats;
   }
 
-  // Left-shard resolution shares the sharded-merge rule so the planner's
-  // quote (ShardedIndexJoinCost prices the same resolver) matches the
-  // executed configuration. Each shard probes sequentially, so the
-  // concurrent-probe cap bounds the shard count.
-  const size_t workers =
-      options.pool == nullptr
-          ? 1
-          : static_cast<size_t>(options.pool->num_threads()) + 1;
-  size_t shards = ResolveShardCount(m, workers, options.shard_count,
-                                    std::max<size_t>(options.min_shard_rows,
-                                                     1));
+  // Left-shard resolution shares the tensor operator's shard rule so the
+  // planner's quote (ShardedIndexJoinCost prices the same resolver)
+  // matches the executed configuration. Each shard probes sequentially,
+  // so the concurrent-probe cap bounds the shard count.
+  size_t shards = ResolveShardCount(m, PoolWorkers(options.pool),
+                                    options.shard_count,
+                                    options.min_shard_rows);
   if (options.max_batched_probes != 0) {
     shards = std::min(shards, options.max_batched_probes);
   }

@@ -5,15 +5,15 @@
 // parallelism" (Section II.A.3). Supports the Milvus-style relational
 // pre-filter bitmap the selectivity experiments (Figures 15-17) sweep.
 //
-// Parallelism uses the sharded-merge discipline of the sharded tensor
-// join, applied to the LEFT probe batch: contiguous left-row shards run
+// Parallelism uses the sharded-merge discipline of the tensor join's
+// right-row schedule, applied to the LEFT probe batch: contiguous left-row shards run
 // concurrently on the pool and fan into ONE locked sink (SinkFeed), with
 // cooperative early termination biting at probe granularity. Every left
 // row's matches come from a single probe inside a single shard, so the
 // top-k merge degenerates — no cross-shard re-collection pass is needed —
 // and results are byte-identical across shard counts by construction.
-// Shard resolution shares ResolveShardCount with the sharded tensor join,
-// so the planner's probe-parallelism quote (ShardedIndexJoinCost) matches
+// Shard resolution shares ResolveShardCount with the tensor join, so the
+// planner's probe-parallelism quote (ShardedIndexJoinCost) matches
 // the executed configuration.
 
 #ifndef CEJ_JOIN_INDEX_JOIN_H_
@@ -40,7 +40,7 @@ struct IndexJoinOptions : JoinOptions {
   size_t max_batched_probes = 10000;
   /// Auto-sharding floor: a probe shard never covers fewer left rows than
   /// this. Probes are orders of magnitude heavier than sweep rows, so the
-  /// floor is far below the tensor operators' shard floor.
+  /// floor is far below the tensor operator's shard floor.
   size_t min_shard_rows = 8;
 };
 

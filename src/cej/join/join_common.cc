@@ -10,7 +10,6 @@ JoinStats& JoinStats::operator+=(const JoinStats& other) {
   peak_buffer_bytes = std::max(peak_buffer_bytes, other.peak_buffer_bytes);
   embed_seconds += other.embed_seconds;
   join_seconds += other.join_seconds;
-  embed_overlapped_seconds += other.embed_overlapped_seconds;
   shards_used = std::max(shards_used, other.shards_used);
   index_probe_rows += other.index_probe_rows;
   return *this;

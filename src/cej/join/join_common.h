@@ -9,12 +9,10 @@
 //   PrefetchNljJoin     embeds once, then NLJ       — |R|+|S| model calls
 //   TensorJoin          blocked GEMM formulation    — Figure 6/7
 //   IndexJoin           per-tuple index probes      — Section IV.B
-//   PipelinedTensorJoin right-tile embedding overlapped with the sweep
-//   ShardedTensorJoin   the sweep partitioned over right row shards
 //
 // All return identical pairs on exact paths (the index path is
-// approximate); the tensor family shares one sweep kernel, and tests
-// cross-validate everything.
+// approximate); the tensor join's two pool schedules share one sweep
+// kernel, and tests cross-validate everything.
 //
 // The operators are registrable implementations of the polymorphic
 // join::JoinOperator interface (join_operator.h) and stream their output
@@ -79,21 +77,14 @@ struct JoinCondition {
 /// Execution counters shared by all operators.
 ///
 /// The time components are NON-OVERLAPPING by contract: embed_seconds +
-/// join_seconds is a faithful end-to-end total. Pipelined operators whose
-/// model time is hidden inside the sweep report it separately as
-/// embed_overlapped_seconds (informational — already contained in
-/// join_seconds, never added into a total).
+/// join_seconds is a faithful end-to-end total.
 struct JoinStats {
   uint64_t model_calls = 0;          ///< Embedding invocations.
   uint64_t similarity_computations = 0;  ///< Pairwise similarity evals.
   size_t peak_buffer_bytes = 0;      ///< Largest intermediate buffer.
   double embed_seconds = 0.0;        ///< Model time outside the join phase.
   double join_seconds = 0.0;         ///< Wall time of the join phase.
-  /// Model time overlapped WITH the join phase (pipelined operators): a
-  /// subset of join_seconds, reported so the hidden embedding is visible
-  /// without double-counting it in component sums.
-  double embed_overlapped_seconds = 0.0;
-  /// Relation shards the join ran over (sharded operators partition the
+  /// Relation shards the join ran over (the tensor join partitions the
   /// right relation; the index join partitions its LEFT probe batch;
   /// 0 = the operator does not shard). Merged as a maximum, like peak
   /// buffers.
@@ -125,9 +116,9 @@ struct JoinOptions {
   la::SimdMode simd = la::SimdMode::kAuto;
   /// Worker pool; nullptr = single-threaded on the caller.
   ThreadPool* pool = nullptr;
-  /// Sharding operators: number of right-relation row shards (0 = auto,
-  /// sized from the pool width and the shard-row floor). Ignored by
-  /// non-sharded operators; lives on the common options so the knob
+  /// Sharding operators: number of row shards (0 = auto, sized from the
+  /// pool width and the shard-row floor). Ignored by non-sharded
+  /// operators; lives on the common options so the knob
   /// survives the polymorphic JoinOperator::Run interface.
   size_t shard_count = 0;
 };

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "cej/join/index_join.h"
-#include "cej/join/sharded_join.h"
+#include "cej/join/sweep_kernel.h"
 
 namespace cej::join {
 namespace {
@@ -82,36 +82,6 @@ double TensorJoinCost(size_t m, size_t n, const CostParams& p) {
          static_cast<double>(m + n) * p.model;
 }
 
-double PipelinedTensorJoinCost(size_t m, size_t n, const CostParams& p,
-                               bool left_embed_cached,
-                               bool right_embed_cached) {
-  const double embed_right =
-      right_embed_cached ? 0.0 : static_cast<double>(n) * p.model;
-  const double embed_left =
-      left_embed_cached ? 0.0 : static_cast<double>(m) * p.model;
-  const double sweep = static_cast<double>(m) * static_cast<double>(n) *
-                       (p.access + p.compute) * p.tensor_efficiency;
-  // rho = 1 hides the cheaper phase entirely (the ideal max(embed, sweep));
-  // a calibrated rho < 1 charges back the fraction reality failed to
-  // overlap, so the pipelined quote degrades continuously toward the
-  // un-overlapped embed + sweep sum.
-  const double rho = std::clamp(p.pipeline_overlap, 0.0, 1.0);
-  const double hi = embed_right > sweep ? embed_right : sweep;
-  const double lo = embed_right > sweep ? sweep : embed_right;
-  return embed_left + hi + (1.0 - rho) * lo;
-}
-
-double ShardedJoinCost(size_t m, size_t n, size_t shards, size_t workers,
-                       const CostParams& p) {
-  const double s = static_cast<double>(std::max<size_t>(shards, 1));
-  const double speedup = ParallelSpeedup(shards, workers, p);
-  const double embed = static_cast<double>(m + n) * p.model;
-  const double sweep = static_cast<double>(m) * static_cast<double>(n) *
-                       (p.access + p.compute) * p.tensor_efficiency;
-  const double merge = static_cast<double>(m) * s * p.compute;
-  return embed + sweep / speedup + merge;
-}
-
 double IndexProbeCost(size_t n, const CostParams& p) {
   const double depth = n > 1 ? std::log(static_cast<double>(n)) : 1.0;
   return p.probe_base + p.probe_per_candidate *
@@ -156,33 +126,25 @@ CostFeatures FeaturesForOperator(std::string_view op_name,
     f.pair = m * filtered;
     f.fixed = scan_access;
   } else if (op_name == "tensor") {
+    // The same resolver Run() executes, so a pinned knob is never quoted
+    // at the auto shape.
+    const size_t shards = ResolveShardCount(
+        FilteredRight(w), w.pool_threads, w.shard_count, kMinShardRows);
     f.model = UncachedModelCalls(w, FilteredRight(w));
     f.sweep = m * filtered;
     f.fixed = scan_access;
-  } else if (op_name == "sharded_tensor") {
-    const size_t shards =
-        ResolveShardCount(FilteredRight(w), w.pool_threads, w.shard_count,
-                          ShardedJoinOptions{}.min_shard_rows);
-    const double speedup = ParallelSpeedup(shards, w.pool_threads, p);
-    f.model = UncachedModelCalls(w, FilteredRight(w));
-    f.sweep = m * filtered / speedup;
-    // The top-k re-collection fan-in, priced with the current compute
-    // coefficient (small; kept out of the regression).
-    f.fixed = scan_access +
-              m * static_cast<double>(std::max<size_t>(shards, 1)) * p.compute;
+    if (shards > 1) {
+      f.sweep /= ParallelSpeedup(shards, w.pool_threads, p);
+      // The top-k re-collection fan-in, priced with the current compute
+      // coefficient (small; kept out of the regression).
+      f.fixed += m * static_cast<double>(shards) * p.compute;
+    }
   } else if (op_name == "index") {
     const double speedup =
         ParallelSpeedup(ProbeShardCount(w), w.pool_threads, p);
     f.model = w.left_embed_cached ? 0.0 : m;
     f.probe = m * ProbeCandidateMultiplier(w, p) / speedup;
     f.fixed = m * p.probe_base / speedup;
-  } else if (op_name == "pipelined_tensor") {
-    // max(embed, sweep) is not linear in the coefficients: the features
-    // describe the workload for the history ring only.
-    f.model = w.left_embed_cached ? 0.0 : m;
-    f.sweep = m * filtered;
-    f.fixed = scan_access;
-    f.calibratable = false;
   } else {
     f.calibratable = false;
     return f;

@@ -12,8 +12,7 @@
 //
 // The tensor formulation performs the same |R|*|S| similarity work with a
 // cache-efficiency factor < 1 relative to the NLJ (calibrated, not assumed).
-// plan/cost_model.h re-exports these names for planner-side callers and
-// adds host calibration.
+// plan/cost_model.h adds host calibration (plan::Calibrate).
 
 #ifndef CEJ_JOIN_JOIN_COST_H_
 #define CEJ_JOIN_JOIN_COST_H_
@@ -48,12 +47,6 @@ struct CostParams {
   /// (1 = perfect scaling, the seed assumption; the calibrator lowers it
   /// when measured sharded runs scale worse than linearly).
   double parallel_efficiency = 1.0;
-  /// Realized embed/sweep overlap of the pipelined tensor join in [0, 1]:
-  /// 1 = perfect overlap (the two phases cost max(embed, sweep), the seed
-  /// assumption), 0 = no overlap (they cost their sum). The adaptive
-  /// calibrator fits it from measured JoinStats::embed_overlapped_seconds
-  /// so the pipelined quote stops assuming the hidden phase is free.
-  double pipeline_overlap = 1.0;
 };
 
 /// The realized speedup of `min(shards, workers)`-way parallel work under
@@ -71,32 +64,6 @@ double PrefetchENljCost(size_t m, size_t n, const CostParams& p);
 
 /// Cost of the tensor-join formulation (prefetch + blocked kernel).
 double TensorJoinCost(size_t m, size_t n, const CostParams& p);
-
-/// Cost of the pipelined tensor join: the left side is embedded up front,
-/// then the right-side embedding of tile k+1 overlaps the blocked sweep of
-/// tile k, so across the tile stream the two phases cost
-/// max(embed, sweep) + (1 - rho) * min(embed, sweep), where rho is the
-/// calibrated overlap efficiency CostParams::pipeline_overlap (rho = 1
-/// recovers the ideal max(embed, sweep) of the Section V model-invocation
-/// analysis). Always <= TensorJoinCost for the same shape; the gap is
-/// rho * min(|S| * M, sweep) — largest when model and sweep are balanced.
-/// The cache flags drop the corresponding side's model term (cache-aware
-/// costing); this is the ONE pipelined pricing rule — the operator's
-/// EstimateCost calls it, so helper and planner cannot diverge.
-double PipelinedTensorJoinCost(size_t m, size_t n, const CostParams& p,
-                               bool left_embed_cached = false,
-                               bool right_embed_cached = false);
-
-/// Cost of the sharded tensor join over `shards` right-relation row
-/// shards on `workers` threads: the embedding is unchanged, the blocked
-/// sweep divides by the REAL parallelism min(shards, workers) — pinning
-/// more shards than workers buys no speedup — and a merge term charges
-/// the shared-consumer fan-in per left row per shard (the top-k
-/// re-collection pass; the threshold sink fan-in is cheaper but the same
-/// order). Undercuts TensorJoinCost once the per-shard sweep saving
-/// exceeds the merge — i.e. on large, wide joins with real parallelism.
-double ShardedJoinCost(size_t m, size_t n, size_t shards, size_t workers,
-                       const CostParams& p);
 
 /// Per-probe cost model I_probe over an index of n entries.
 double IndexProbeCost(size_t n, const CostParams& p);
@@ -136,11 +103,6 @@ struct JoinWorkload {
   /// left and cold right still pays |S| * M, never (|R| + |S|) * M.
   bool left_embed_cached = false;
   bool right_embed_cached = false;
-  /// True when the planner can hand the right relation to the operator as
-  /// raw strings plus a model (an un-materialized Embed pipeline), letting
-  /// pipelined operators overlap embedding with the sweep. Operators that
-  /// need that fusion price themselves infinite when it is unavailable.
-  bool right_strings_streamable = false;
   /// The side is a materialized intermediate join result (a chained
   /// multi-join pipeline), not a base relation: its carried columns are
   /// gathered row-by-row when it was built, so the join pays one extra
@@ -150,12 +112,12 @@ struct JoinWorkload {
   bool right_intermediate = false;
   /// Worker threads the executor will hand the operator, counting the
   /// calling thread (a caller-runs pool of T workers supplies T + 1;
-  /// 1 = no pool). Partition-parallel operators price their speedup with
-  /// it and bow out when there is nothing to fan out across.
+  /// 1 = no pool). Partition-parallel schedules price their speedup with
+  /// it.
   size_t pool_threads = 1;
-  /// Pinned right-relation shard count the operator will actually run
-  /// with (JoinOptions::shard_count; 0 = auto). Priced as-is so the
-  /// planner's quote matches the executed configuration.
+  /// Pinned shard count the operator will actually run with
+  /// (JoinOptions::shard_count; 0 = auto). Priced as-is so the planner's
+  /// quote matches the executed configuration.
   size_t shard_count = 0;
   /// Client queries stacked into `left_rows` by the serving layer's
   /// multi-query fusion (1 = an ordinary solo plan). The sweep already
@@ -184,9 +146,9 @@ struct CostFeatures {
   /// Cost priced with NON-calibrated parameters (linear access scans,
   /// probe_base), evaluated at estimate time.
   double fixed = 0.0;
-  /// False when the operator's cost is not linear in the coefficients
-  /// (the pipelined max(embed, sweep) overlap): the observation is kept
-  /// for history but excluded from the least-squares fit.
+  /// False for operators this decomposition does not know (custom
+  /// registrations): the observation is kept for history but excluded
+  /// from the least-squares fit.
   bool calibratable = true;
 };
 
@@ -194,8 +156,11 @@ struct CostFeatures {
 double PriceFeatures(const CostFeatures& f, const CostParams& p);
 
 /// The feature decomposition for the named built-in operator
-/// ("naive_nlj", "prefetch_nlj", "tensor", "sharded_tensor", "index",
-/// "pipelined_tensor"). Unknown names return an all-zero, non-calibratable
+/// ("naive_nlj", "prefetch_nlj", "tensor", "index"). "tensor" prices the
+/// schedule its resolved shard count selects: the left-tile split at one
+/// shard, else the right-row split, whose sweep divides by the REAL
+/// parallelism min(shards, workers) and whose top-k merge fan-in adds
+/// |R| * shards * C. Unknown names return an all-zero, non-calibratable
 /// vector. Eligibility (infinite quotes) is the operator's concern, not
 /// this function's.
 CostFeatures FeaturesForOperator(std::string_view op_name,

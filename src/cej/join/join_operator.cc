@@ -8,8 +8,6 @@
 #include "cej/join/index_join.h"
 #include "cej/join/nlj_naive.h"
 #include "cej/join/nlj_prefetch.h"
-#include "cej/join/pipelined_tensor.h"
-#include "cej/join/sharded_join.h"
 #include "cej/join/tensor_join.h"
 
 namespace cej::join {
@@ -34,12 +32,6 @@ bool HasLeftSide(const JoinInputs& in) {
 bool HasRightSide(const JoinInputs& in) {
   return in.right_vectors != nullptr ||
          (in.right_strings != nullptr && HasModel(in));
-}
-
-// |S| surviving the pushed-down relational predicates.
-size_t FilteredRight(const JoinWorkload& w) {
-  const double sel = std::clamp(w.right_selectivity, 0.0, 1.0);
-  return static_cast<size_t>(static_cast<double>(w.right_rows) * sel + 0.5);
 }
 
 // Ensures both sides exist in the vector domain, embedding the string
@@ -180,7 +172,8 @@ class PrefetchNljOperator : public JoinOperator {
 };
 
 // ---------------------------------------------------------------------------
-// tensor — blocked-GEMM similarity sweep (Figures 6/7).
+// tensor — blocked-GEMM similarity sweep (Figures 6/7), split over left
+// tiles or right-row shards by the resolved shard count (tensor_join.h).
 // ---------------------------------------------------------------------------
 class TensorJoinOperator : public JoinOperator {
  public:
@@ -195,8 +188,9 @@ class TensorJoinOperator : public JoinOperator {
   double EstimateCost(const JoinWorkload& w,
                       const CostParams& p) const override {
     // Filter S (linear), then tensor-join against the survivors — the
-    // "scan" access path of Section VI.E. Warm embedding-cache columns
-    // drop their side's model term (cache-aware costing).
+    // "scan" access path of Section VI.E — under whichever schedule the
+    // resolved shard count selects. Warm embedding-cache columns drop
+    // their side's model term (cache-aware costing).
     return PriceFeatures(FeaturesForOperator(Name(), w, p), p);
   }
 
@@ -269,127 +263,6 @@ class IndexJoinOperator : public JoinOperator {
   }
 };
 
-// ---------------------------------------------------------------------------
-// pipelined_tensor — right-side embedding overlapped with the GEMM sweep.
-// ---------------------------------------------------------------------------
-class PipelinedTensorOperator : public JoinOperator {
- public:
-  std::string_view Name() const override { return "pipelined_tensor"; }
-
-  JoinOperatorTraits Traits() const override {
-    JoinOperatorTraits t;
-    // Validation-wise the operator accepts whatever the tensor join does
-    // (vectors, or strings plus a model, per side); the extra trait tells
-    // the planner it prefers the right side as a raw string stream.
-    t.needs_vectors = true;
-    t.streams_right_strings = true;
-    return t;
-  }
-
-  double EstimateCost(const JoinWorkload& w,
-                      const CostParams& p) const override {
-    // Without a string-streamable right side there is no embedding left to
-    // hide — the plain tensor operator covers that shape, so bow out of
-    // the cost scan entirely. (The executor also withdraws streamability
-    // when the embedding cache already holds the right column: a warm
-    // cache leaves nothing to overlap, and plain `tensor` wins the tie.)
-    if (!w.right_strings_streamable) return kInf;
-    return static_cast<double>(w.right_rows) * p.access +
-           PipelinedTensorJoinCost(w.left_rows, FilteredRight(w), p,
-                                   w.left_embed_cached,
-                                   w.right_embed_cached);
-  }
-
-  Result<JoinStats> Run(const JoinInputs& inputs,
-                        const JoinCondition& condition,
-                        const JoinOptions& options,
-                        JoinSink* sink) const override {
-    CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
-    PipelinedTensorOptions pipe_options;
-    static_cast<JoinOptions&>(pipe_options) = options;
-    // Pipeline only when the right side NEEDS embedding: supplied vectors
-    // are never ignored or recomputed (the MaterializeVectors contract).
-    if (inputs.right_vectors == nullptr && inputs.right_strings != nullptr &&
-        HasModel(inputs)) {
-      JoinStats total;
-      const la::Matrix* left = nullptr;
-      la::Matrix storage;
-      CEJ_RETURN_IF_ERROR(MaterializeLeftVectors(inputs, options.pool, &left,
-                                                 &storage, &total));
-      CEJ_ASSIGN_OR_RETURN(
-          JoinStats join_stats,
-          PipelinedTensorJoinToSink(*left, *inputs.right_strings,
-                                    *inputs.model, condition, pipe_options,
-                                    sink));
-      total += join_stats;
-      return total;
-    }
-    // Both sides already in the vector domain: nothing to pipeline —
-    // degrade gracefully to the plain blocked sweep.
-    JoinStats total;
-    const la::Matrix* left = nullptr;
-    const la::Matrix* right = nullptr;
-    std::pair<la::Matrix, la::Matrix> storage;
-    CEJ_RETURN_IF_ERROR(MaterializeVectors(inputs, options.pool, &left,
-                                           &right, &storage, &total));
-    CEJ_ASSIGN_OR_RETURN(JoinStats join_stats,
-                         TensorJoinMatricesToSink(*left, *right, condition,
-                                                  pipe_options, sink));
-    total += join_stats;
-    return total;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// sharded_tensor — the blocked sweep partitioned over right-relation row
-// shards, one shard per pool worker, merged through one sink.
-// ---------------------------------------------------------------------------
-class ShardedTensorOperator : public JoinOperator {
- public:
-  std::string_view Name() const override { return "sharded_tensor"; }
-
-  JoinOperatorTraits Traits() const override {
-    JoinOperatorTraits t;
-    t.needs_vectors = true;
-    return t;
-  }
-
-  double EstimateCost(const JoinWorkload& w,
-                      const CostParams& p) const override {
-    // Price the shard count Run() will ACTUALLY use — the same resolver
-    // execution calls, so a pinned knob is never quoted at the auto shape.
-    const size_t n = FilteredRight(w);
-    const size_t shards = ResolveShardCount(
-        n, w.pool_threads, w.shard_count, ShardedJoinOptions{}.min_shard_rows);
-    // Eligibility: with no workers to fan out across, or a single shard
-    // (below the shard-row floor), this IS the tensor operator — bow out
-    // and let it take those shapes.
-    if (w.pool_threads <= 1 || shards <= 1) return kInf;
-    return PriceFeatures(FeaturesForOperator(Name(), w, p), p);
-  }
-
-  Result<JoinStats> Run(const JoinInputs& inputs,
-                        const JoinCondition& condition,
-                        const JoinOptions& options,
-                        JoinSink* sink) const override {
-    CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
-    JoinStats total;
-    const la::Matrix* left = nullptr;
-    const la::Matrix* right = nullptr;
-    std::pair<la::Matrix, la::Matrix> storage;
-    CEJ_RETURN_IF_ERROR(MaterializeVectors(inputs, options.pool, &left,
-                                           &right, &storage, &total));
-    ShardedJoinOptions sharded_options;
-    static_cast<JoinOptions&>(sharded_options) = options;
-    CEJ_ASSIGN_OR_RETURN(
-        JoinStats join_stats,
-        ShardedTensorJoinMatricesToSink(*left, *right, condition,
-                                        sharded_options, sink));
-    total += join_stats;
-    return total;
-  }
-};
-
 }  // namespace
 
 Status JoinOperator::ValidateInputs(const JoinInputs& inputs,
@@ -437,8 +310,6 @@ JoinOperatorRegistry& JoinOperatorRegistry::Global() {
     CEJ_CHECK(r->Register(MakePrefetchNljOperator()).ok());
     CEJ_CHECK(r->Register(MakeTensorJoinOperator()).ok());
     CEJ_CHECK(r->Register(MakeIndexJoinOperator()).ok());
-    CEJ_CHECK(r->Register(MakePipelinedTensorOperator()).ok());
-    CEJ_CHECK(r->Register(MakeShardedTensorOperator()).ok());
     return r;
   }();
   return *registry;
@@ -493,12 +364,6 @@ std::unique_ptr<const JoinOperator> MakeTensorJoinOperator() {
 }
 std::unique_ptr<const JoinOperator> MakeIndexJoinOperator() {
   return std::make_unique<IndexJoinOperator>();
-}
-std::unique_ptr<const JoinOperator> MakePipelinedTensorOperator() {
-  return std::make_unique<PipelinedTensorOperator>();
-}
-std::unique_ptr<const JoinOperator> MakeShardedTensorOperator() {
-  return std::make_unique<ShardedTensorOperator>();
 }
 
 }  // namespace cej::join

@@ -7,23 +7,18 @@
 // prefetched embedding matrices, or a prebuilt vector index), streams
 // matched pairs into a JoinSink, and prices itself via EstimateCost so the
 // planner's access-path selection is a registry scan instead of a
-// hard-wired if/else. New operators (sharded, async, remote) plug in by
+// hard-wired if/else. New operators (async, remote) plug in by
 // registering — the planner and the cej::Engine facade pick them up
 // without modification.
 //
-// The six built-ins (registered by default in the global registry):
+// The four built-ins (registered by default in the global registry):
 //
-//   naive_nlj        embeds inside the pair loop  — |R|·|S| model calls
-//   prefetch_nlj     embeds once, then NLJ        — |R|+|S| model calls
-//   tensor           blocked GEMM formulation     — Figure 6/7
-//   index            per-tuple index probes       — Section IV.B
-//   pipelined_tensor tiled right-side embedding overlapped with the
-//                    GEMM sweep — max(embed, sweep) per tile instead of
-//                    their sum (the Section V model-cost bottleneck)
-//   sharded_tensor   the blocked sweep partitioned over right-relation
-//                    row shards, one shard per pool worker, merged
-//                    through one sink — whole-right-relation parallelism
-//                    (the `tensor` operator only splits the left side)
+//   naive_nlj     embeds inside the pair loop  — |R|·|S| model calls
+//   prefetch_nlj  embeds once, then NLJ        — |R|+|S| model calls
+//   tensor        blocked GEMM formulation     — Figure 6/7; splits left
+//                 tiles or right-row shards across the pool, whichever
+//                 the resolved shard count selects (tensor_join.h)
+//   index         per-tuple index probes       — Section IV.B
 
 #ifndef CEJ_JOIN_JOIN_OPERATOR_H_
 #define CEJ_JOIN_JOIN_OPERATOR_H_
@@ -74,11 +69,6 @@ struct JoinOperatorTraits {
   bool exact = true;           ///< False: may miss pairs (recall < 1).
   bool supports_threshold = true;
   bool supports_topk = true;
-  /// The operator can consume the right side as raw strings plus a model,
-  /// embedding lazily (tile by tile) instead of requiring a prefetched
-  /// matrix. The planner uses this to leave an Embed pipeline
-  /// un-materialized and hand the operator strings for overlap.
-  bool streams_right_strings = false;
 };
 
 /// A physical implementation of the E-join.
@@ -113,7 +103,7 @@ class JoinOperator {
 };
 
 /// Name-keyed catalog of physical join operators. The global instance is
-/// pre-seeded with the six built-ins; extensions register at startup.
+/// pre-seeded with the four built-ins; extensions register at startup.
 class JoinOperatorRegistry {
  public:
   /// The process-wide registry (thread-safe).
@@ -141,8 +131,6 @@ std::unique_ptr<const JoinOperator> MakeNaiveNljOperator();
 std::unique_ptr<const JoinOperator> MakePrefetchNljOperator();
 std::unique_ptr<const JoinOperator> MakeTensorJoinOperator();
 std::unique_ptr<const JoinOperator> MakeIndexJoinOperator();
-std::unique_ptr<const JoinOperator> MakePipelinedTensorOperator();
-std::unique_ptr<const JoinOperator> MakeShardedTensorOperator();
 
 }  // namespace cej::join
 

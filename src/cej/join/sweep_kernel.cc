@@ -37,7 +37,7 @@ void SweepLeftRows(const SweepSpec& spec, size_t i_begin, size_t i_end) {
             if (row[j] >= spec.condition.threshold) {
               local.push_back(
                   {static_cast<uint32_t>(i),
-                   static_cast<uint32_t>(spec.right_id_offset + j0 + j),
+                   static_cast<uint32_t>(j0 + j),
                    row[j]});
             }
           }
@@ -50,9 +50,7 @@ void SweepLeftRows(const SweepSpec& spec, size_t i_begin, size_t i_end) {
                                 ? (*spec.collectors)[i]
                                 : own[i - i0];
           for (size_t j = 0; j < tile_cols; ++j) {
-            collector.Push(
-                row[j],
-                static_cast<uint64_t>(spec.right_id_offset + j0 + j));
+            collector.Push(row[j], static_cast<uint64_t>(j0 + j));
           }
         }
       }
@@ -87,8 +85,19 @@ size_t RunSweep(const SweepSpec& spec, ThreadPool* pool) {
       [&spec](size_t begin, size_t end) { SweepLeftRows(spec, begin, end); },
       spec.tile.rows_left);
   // The caller executes chunks too while it waits (caller-runs pool).
-  return std::min(static_cast<size_t>(pool->num_threads()) + 1,
-                  num_left_tiles);
+  return std::min(PoolWorkers(pool), num_left_tiles);
+}
+
+size_t PoolWorkers(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads()) + 1;
+}
+
+size_t ResolveShardCount(size_t rows, size_t workers,
+                         size_t pinned_shard_count, size_t min_shard_rows) {
+  if (rows == 0) return 1;
+  if (pinned_shard_count != 0) return std::min(rows, pinned_shard_count);
+  return std::clamp<size_t>(rows / std::max<size_t>(min_shard_rows, 1), 1,
+                            std::max<size_t>(workers, 1));
 }
 
 }  // namespace cej::join

@@ -2,22 +2,20 @@
 // bounded dense tile of the similarity matrix, scan it for qualifying
 // pairs, stream them out, reuse the buffer.
 //
-// Exactly ONE copy of this loop exists; `tensor`, `pipelined_tensor`, and
-// `sharded_tensor` all execute it, so byte-identity of their results holds
-// by construction rather than only by cross-validation tests. The callers
-// differ in two ways the spec parameterizes:
+// Exactly ONE copy of this loop exists. The `tensor` operator runs it under
+// one of two schedules (tensor_join.h), so byte-identity across schedules
+// and shard counts holds by construction rather than only by
+// cross-validation tests. The schedules differ in two ways the spec
+// parameterizes:
 //
-//   * the right-side coordinate frame — the plain tensor join sweeps the
-//     whole right matrix ([0, n), ids as-is), a pipelined tile sweeps a
-//     small local matrix whose row 0 is global row `tile.begin`
-//     (right_id_offset), a shard sweeps a sub-range [s0, s1) of the global
-//     matrix — and
-//   * collector ownership for top-k — self-contained sweeps finalize
-//     per-left-tile collectors themselves once the tile has seen the whole
-//     right range, while sweeps covering only a SLICE of the right
-//     relation (pipelined tiles, shards) push into externally-owned
-//     collectors that survive across sweeps, because a per-slice top-k
-//     alone would be wrong.
+//   * the right-side range — the left-tile schedule sweeps the whole right
+//     matrix [0, n), a right-row shard sweeps a sub-range [s0, s1) of it
+//     (ids stay global either way) — and
+//   * collector ownership for top-k — whole-range sweeps finalize
+//     per-left-tile collectors themselves once the tile has seen every
+//     right row, while shard sweeps push into externally-owned collectors
+//     that survive across shards, because a per-shard top-k alone would be
+//     wrong.
 //
 // Threshold conditions stream row by row (early termination bites inside a
 // tile); the cooperative stop flag is polled at tile and row granularity.
@@ -51,13 +49,10 @@ struct SweepSpec {
   /// Left rows covered by the whole sweep (kernel frame).
   size_t left_begin = 0;
   size_t left_end = 0;
-  /// Right rows covered (kernel frame): the full matrix for the tensor
-  /// join, [0, tile_rows) for a pipelined tile, [s0, s1) for a shard.
+  /// Right rows covered: the full matrix for the left-tile schedule,
+  /// [s0, s1) for a shard.
   size_t right_begin = 0;
   size_t right_end = 0;
-  /// Added to kernel-frame right coordinates when emitting pair ids /
-  /// pushing into collectors (pipelined tiles: the tile's global begin).
-  size_t right_id_offset = 0;
   /// Inner (L1-resident) blocking of the dense tile buffer.
   TileShape tile;
   JoinCondition condition;
@@ -65,7 +60,7 @@ struct SweepSpec {
   SinkFeed* feed = nullptr;
   std::atomic<uint64_t>* sims = nullptr;
   /// Top-k only. Non-null: externally-owned collectors indexed by LEFT row
-  /// id, shared across sweeps over right-relation slices — the sweep only
+  /// id, shared across sweeps over right-relation shards — the sweep only
   /// pushes; finalizing them is the caller's job once every slice is done.
   /// Null: the sweep covers the whole right range, owns per-left-tile
   /// collectors, and emits each left tile's top-k itself.
@@ -84,6 +79,23 @@ void SweepLeftRows(const SweepSpec& spec, size_t i_begin, size_t i_end);
 /// peak-memory accounting); the caller-runs pool wait means up to
 /// num_threads() + 1 buffers can be live.
 size_t RunSweep(const SweepSpec& spec, ThreadPool* pool);
+
+/// Worker threads a caller-runs pool supplies: its workers plus the
+/// calling thread (1 without a pool).
+size_t PoolWorkers(const ThreadPool* pool);
+
+/// Right rows per shard below which the tensor operator does not split
+/// the right relation (amortizes per-shard scheduling and the top-k
+/// merge pass).
+constexpr size_t kMinShardRows = 1024;
+
+/// The ONE shard-resolution rule, shared by execution and pricing of the
+/// tensor operator (right-row shards) and the index join (left probe
+/// shards): a pinned count wins (clamped to the row count), otherwise
+/// clamp(rows / min_shard_rows, 1, workers). `workers` counts the caller
+/// too (see PoolWorkers).
+size_t ResolveShardCount(size_t rows, size_t workers,
+                         size_t pinned_shard_count, size_t min_shard_rows);
 
 }  // namespace cej::join
 

@@ -7,6 +7,22 @@
 // is scanned for qualifying pairs and immediately reused — this is how the
 // operator trades repeated kernel invocations for a constrained memory
 // footprint (Figure 13) instead of materializing the full |R| x |S| matrix.
+//
+// The pool parallelism picks one of two schedules from the shape alone
+// (ResolveShardCount in sweep_kernel.h: a pinned JoinOptions::shard_count,
+// else clamp(|S| / kMinShardRows, 1, pool width + 1)):
+//
+//   * one shard — left-tile split: workers own disjoint left row tiles,
+//     each swept against the whole right relation;
+//   * several shards — right-row split: each worker owns one contiguous
+//     right shard's full |R| x |S|/shards sweep, so parallelism does not
+//     starve when |R| is below one tile height. Threshold pairs stream
+//     straight into the sink (early termination bites mid-shard); top-k
+//     keeps one collector per left row per shard and a merge pass
+//     re-collects the k best per left row across shards.
+//
+// Both schedules run the shared sweep kernel, so per-pair similarities,
+// and therefore results, are byte-identical across shard counts.
 
 #ifndef CEJ_JOIN_TENSOR_JOIN_H_
 #define CEJ_JOIN_TENSOR_JOIN_H_
@@ -44,6 +60,7 @@ Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
 /// Streaming form of TensorJoinMatrices: emits pair chunks into `sink`
 /// (unordered; honours early termination at tile granularity) instead of
 /// materializing, and returns counters for the work actually performed.
+/// JoinStats::shards_used reports the resolved shard count.
 Result<JoinStats> TensorJoinMatricesToSink(
     const la::Matrix& left, const la::Matrix& right,
     const JoinCondition& condition, const TensorJoinOptions& options,

@@ -57,8 +57,8 @@ class EmbeddingModel {
                         ThreadPool* pool = nullptr) const;
 
   /// Embeds the sub-range inputs[begin, end) into a fresh
-  /// (end - begin) x dim matrix — the tile primitive pipelined operators
-  /// build on. EmbedBatch is EmbedRange over the whole vector.
+  /// (end - begin) x dim matrix. EmbedBatch is EmbedRange over the whole
+  /// vector.
   la::Matrix EmbedRange(const std::vector<std::string>& inputs, size_t begin,
                         size_t end, ThreadPool* pool = nullptr) const;
 

@@ -9,10 +9,16 @@
 #include "cej/api/embedding_cache.h"
 #include "cej/common/macros.h"
 #include "cej/common/timer.h"
+#include "cej/join/sweep_kernel.h"
 #include "cej/plan/join_order.h"
 #include "cej/stats/cost_calibrator.h"
 
 namespace cej::plan {
+
+const char* AccessPathName(AccessPath path) {
+  return path == AccessPath::kScan ? "scan" : "probe";
+}
+
 namespace {
 
 using join::JoinInputs;
@@ -152,7 +158,7 @@ class DemuxSink : public join::JoinSink {
 };
 
 // Pass-through sink counting the pairs a graph-lowered join emits — the
-// per-edge OBSERVED cardinality. Atomic because sharded operators feed one
+// per-edge OBSERVED cardinality. Atomic because parallel operators feed one
 // sink from several workers.
 class EdgeCountingSink : public join::JoinSink {
  public:
@@ -348,10 +354,7 @@ class PlanExecutor {
     JoinOrderOptions options;
     options.cost_params = context_.cost_params;
     options.registry = &registry_;
-    options.pool_threads =
-        context_.pool != nullptr
-            ? static_cast<size_t>(context_.pool->num_threads()) + 1
-            : 1;
+    options.pool_threads = join::PoolWorkers(context_.pool);
     options.shard_count = context_.shard_count;
     options.force_edge_order = context_.force_join_order;
     CEJ_ASSIGN_OR_RETURN(JoinOrderPlan plan,
@@ -465,13 +468,7 @@ class PlanExecutor {
       workload.right_rows = right.num_rows();
       workload.dim = node->model->dim();
       workload.condition = node->condition;
-      // The operators receive raw right strings: with workers to overlap
-      // against, the pipelined operator can hide the right embedding.
-      workload.right_strings_streamable = context_.pool != nullptr;
-      workload.pool_threads =
-          context_.pool != nullptr
-              ? static_cast<size_t>(context_.pool->num_threads()) + 1
-              : 1;
+      workload.pool_threads = join::PoolWorkers(context_.pool);
       workload.shard_count = context_.shard_count;
       workload.fused_queries = fused_queries_;
       CEJ_ASSIGN_OR_RETURN(
@@ -515,35 +512,26 @@ class PlanExecutor {
     if (left_key.type() != DataType::kVector) {
       return Status::InvalidArgument("EJoin: left key is not a vector");
     }
-    // Index discovery over the probe-eligible right-subtree patterns:
-    // the engine-managed catalog snapshot first (shared_ptr-pinned for
-    // the whole query — a concurrent ReplaceTable cannot free a probed
-    // index), then the plan-layer borrowed map.
+    // Index discovery over the probe-eligible right-subtree patterns in
+    // the catalog snapshot (shared_ptr-pinned for the whole query — a
+    // concurrent ReplaceTable cannot free a probed index).
     const ProbePattern pattern =
         MatchProbePattern(node->right, node->right_key);
     const index::VectorIndex* idx = nullptr;
     const index::IndexCatalogEntry* catalog_entry = nullptr;
-    if (pattern.matches) {
-      const std::string column = pattern.embed != nullptr
-                                     ? pattern.embed->output_column
-                                     : node->right_key;
-      if (context_.index_catalog != nullptr) {
-        catalog_entry = context_.index_catalog->Find(
-            pattern.scan->table_name, column,
-            pattern.embed != nullptr ? pattern.embed->model : nullptr);
-        if (catalog_entry != nullptr) idx = catalog_entry->index.get();
-        if (stats_ != nullptr) {
-          if (catalog_entry != nullptr) {
-            ++stats_->index_catalog_hits;
-          } else {
-            ++stats_->index_catalog_misses;
-          }
+    if (pattern.matches && context_.index_catalog != nullptr) {
+      catalog_entry = context_.index_catalog->Find(
+          pattern.scan->table_name,
+          pattern.embed != nullptr ? pattern.embed->output_column
+                                   : node->right_key,
+          pattern.embed != nullptr ? pattern.embed->model : nullptr);
+      if (catalog_entry != nullptr) idx = catalog_entry->index.get();
+      if (stats_ != nullptr) {
+        if (catalog_entry != nullptr) {
+          ++stats_->index_catalog_hits;
+        } else {
+          ++stats_->index_catalog_misses;
         }
-      }
-      if (idx == nullptr) {
-        auto it =
-            context_.indexes.find(pattern.scan->table_name + "." + column);
-        if (it != context_.indexes.end()) idx = it->second;
       }
     }
 
@@ -559,30 +547,13 @@ class PlanExecutor {
         left_pattern.embed->output_column == node->left_key &&
         PeekColumnWarm(left_pattern);
 
-    // String-stream fusion candidacy: on streaming execution a right-side
-    // Embed pipeline producing the join key can stay un-materialized — a
-    // streams_right_strings operator then embeds tiles itself, overlapped
-    // with its sweep, instead of the executor embedding everything first.
-    // Overlap needs workers: without a pool the pipelined operator
-    // phase-alternates and its max(embed, sweep) quote would underbid its
-    // real embed + sweep cost, so fusion is offered only with a pool. A
-    // warm embedding cache also withdraws the offer: the cached column
-    // costs no model calls, so there is nothing to overlap — fusing would
-    // re-embed tile by tile what the cache would have served for free.
-    const bool fusion_candidate =
-        !materialize_sides && context_.pool != nullptr && pattern.matches &&
-        !right_embed_cached && pattern.embed != nullptr &&
-        pattern.embed->output_column == node->right_key &&
-        pattern.embed->model != nullptr && pattern.embed->model->dim() > 0;
-
     index::FilterBitmap bitmap;
     double right_selectivity = 1.0;
     size_t base_rows = 0;
     std::optional<Relation> right_prematerialized;
     // Base-table row ids surviving the pushed-down Select, evaluated at
-    // most ONCE and reused by whichever path runs (probe bitmap, fused
-    // string stream, or scan-side materialization) — the seed-era double
-    // predicate evaluation is gone.
+    // most ONCE and reused by whichever path runs (probe bitmap or
+    // scan-side materialization).
     std::optional<std::vector<uint32_t>> selected_rows;
     if (pattern.matches) {
       const Relation& base = *pattern.scan->relation;
@@ -595,13 +566,12 @@ class PlanExecutor {
         }
         bitmap.assign(base_rows, 1);
       }
-      // The predicate is evaluated up front only when some consumer needs
-      // the row set before materialization: probe pre-filtering (bitmap +
-      // selectivity steering scan-vs-probe) or string-stream fusion.
-      // Otherwise it would scale every eligible (scan-family) operator
-      // identically, so the Select is applied once, downstream.
-      if (pattern.select != nullptr &&
-          (idx != nullptr || fusion_candidate)) {
+      // The predicate is evaluated up front only when probe pre-filtering
+      // needs the row set before materialization (bitmap + selectivity
+      // steering scan-vs-probe). Otherwise it would scale every eligible
+      // (scan-family) operator identically, so the Select is applied
+      // once, downstream.
+      if (pattern.select != nullptr && idx != nullptr) {
         CEJ_RETURN_IF_ERROR(
             pattern.select->predicate->Validate(base.schema()));
         std::vector<uint32_t> rows;
@@ -647,12 +617,8 @@ class PlanExecutor {
         left_embed_cached || workload.left_intermediate;
     workload.right_embed_cached =
         right_embed_cached || workload.right_intermediate;
-    workload.right_strings_streamable = fusion_candidate;
     // Caller-runs pool: the calling thread works alongside the workers.
-    workload.pool_threads =
-        context_.pool != nullptr
-            ? static_cast<size_t>(context_.pool->num_threads()) + 1
-            : 1;
+    workload.pool_threads = join::PoolWorkers(context_.pool);
     workload.shard_count = context_.shard_count;
     workload.fused_queries = fused_queries_;
 
@@ -671,7 +637,7 @@ class PlanExecutor {
     // side always arrives embedded in the vector domain (its model term
     // was paid before pricing), and the right side pays model calls inside
     // the measured window only when the executor (scan path, cold cache)
-    // or the operator itself (fused path) embeds it there.
+    // embeds it there.
     join::JoinWorkload observed = workload;
     observed.left_embed_cached = true;
 
@@ -683,8 +649,7 @@ class PlanExecutor {
     if (pattern.matches && idx == nullptr &&
         context_.index_manager != nullptr &&
         context_.index_catalog != nullptr &&
-        context_.force_operator.empty() && !context_.force_scan &&
-        !context_.force_probe && !context_.require_exact) {
+        context_.force_operator.empty() && !context_.require_exact) {
       auto index_op = registry_.Find("index");
       if (index_op.ok()) {
         join::JoinWorkload hypothetical = workload;
@@ -741,51 +706,17 @@ class PlanExecutor {
       return run_stats;
     }
 
-    // Fused path: hand the operator the (filtered) join-key strings and
-    // the model; it embeds tiles itself, overlapped with the sweep. Pair
-    // right-ids address the same filtered positions the scan path emits.
-    // Only the key column is gathered — the whole point of this path is
-    // not materializing the rest.
-    if (fusion_candidate && op->Traits().streams_right_strings) {
-      CEJ_ASSIGN_OR_RETURN(
-          const Column* base_col,
-          pattern.scan->relation->ColumnByName(pattern.embed->input_column));
-      if (base_col->type() != DataType::kString) {
-        return Status::InvalidArgument("Embed: column '" +
-                                       pattern.embed->input_column +
-                                       "' is not a string column");
-      }
-      std::optional<Column> gathered;
-      if (selected_rows.has_value()) {
-        gathered.emplace(base_col->Gather(*selected_rows));
-      }
-      JoinInputs inputs;
-      inputs.left_vectors = &left_key.vector_values();
-      inputs.right_strings = gathered.has_value()
-                                 ? &gathered->string_values()
-                                 : &base_col->string_values();
-      inputs.model = pattern.embed->model;
-      CEJ_ASSIGN_OR_RETURN(
-          JoinStats run_stats,
-          op->Run(inputs, node->condition, BaseOptions(), sink));
-      // Fused: the operator embedded the right side inside the run.
-      RecordJoinObservation(
-          op, observed, selection,
-          run_stats.embed_seconds + run_stats.join_seconds, run_stats,
-          *node, edge_counter);
-      return run_stats;
-    }
-
     // Scan path: the right-side preparation below (predicate Take, cache
-    // gather, or a full embedding on a cold cache) is part of the cost the
-    // quote priced, so it belongs to the measured window.
+    // gather, or a full embedding on a cold cache — which fills the cache)
+    // is part of the cost the quote priced, so it belongs to the measured
+    // window.
     WallTimer right_prep_timer;
     Relation right;
     if (right_prematerialized.has_value()) {
       right = std::move(*right_prematerialized);
     } else if (pattern.matches && selected_rows.has_value()) {
-      // The pushed-down predicate was already evaluated for the bitmap /
-      // fusion decision: feed that row set straight into the scan-side
+      // The pushed-down predicate was already evaluated for the probe
+      // bitmap: feed that row set straight into the scan-side
       // materialization instead of letting Run(node->right) re-evaluate it.
       const Relation filtered =
           pattern.scan->relation->Take(*selected_rows);
@@ -838,8 +769,7 @@ class PlanExecutor {
   };
 
   // Registry-wide pricing: every eligible operator quotes a cost, the
-  // cheapest runs. Overrides (force_operator, force_scan, force_probe)
-  // bypass pricing but not eligibility checks at Run() time; the returned
+  // cheapest runs. The force_operator override bypasses pricing but not eligibility checks at Run() time; the returned
   // quote stays +infinity on overrides. `string_domain` scans the
   // string-capable operator set (adaptive string-key joins) instead of the
   // vector-domain set.
@@ -873,16 +803,6 @@ class PlanExecutor {
       CEJ_ASSIGN_OR_RETURN(selection.op,
                            registry_.Find(context_.force_operator));
       return selection;
-    }
-    if (!string_domain) {
-      if (context_.force_probe && have_index) {
-        CEJ_ASSIGN_OR_RETURN(selection.op, registry_.Find("index"));
-        return selection;
-      }
-      if (context_.force_scan) {
-        CEJ_ASSIGN_OR_RETURN(selection.op, registry_.Find("tensor"));
-        return selection;
-      }
     }
 
     struct Quote {
@@ -1036,11 +956,8 @@ class PlanExecutor {
                               context_.cost_params);
     obs.explored = selection.explored;
     // Fused batches are recorded ONCE, with the member-query count as the
-    // per-query attribution; pipelined runs carry their overlap timings
-    // for the rho fit.
+    // per-query attribution.
     obs.fused_queries = workload.fused_queries;
-    obs.embed_overlapped_ns = run_stats.embed_overlapped_seconds * 1e9;
-    obs.join_phase_ns = run_stats.join_seconds * 1e9;
     // Graph-lowered joins: one observation per EDGE, carrying the
     // estimated-vs-observed cardinality pair for the learned-cardinality
     // feed. The counter reads complete here — the operator's Run has

@@ -5,12 +5,12 @@
 // registered in join::JoinOperatorRegistry that can serve the workload
 // (declared via its traits — string-domain, vector-domain, or index-backed)
 // prices itself through JoinOperator::EstimateCost, and the cheapest
-// eligible one runs. New operators (sharded, async, remote) participate in
+// eligible one runs. New operators (async, remote) participate in
 // planning by registering — no executor changes.
 //
 // When the right subtree is an Embed([Select(]Scan[)]) pipeline — or a
-// bare [Select(]Scan[)] over a stored vector column — and a prebuilt
-// vector index is registered for that table/column, the index operator
+// bare [Select(]Scan[)] over a stored vector column — and the index
+// catalog holds a vector index for that table/column, the index operator
 // becomes eligible (pre-filtered probes); otherwise the scan-family
 // operators compete. String-key joins (un-rewritten plans) execute the
 // naive NLJ — deliberately, so un-optimized plans behave like Figure 8's
@@ -21,17 +21,14 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cej/common/status.h"
 #include "cej/common/thread_pool.h"
 #include "cej/index/index_manager.h"
-#include "cej/index/vector_index.h"
+#include "cej/join/join_cost.h"
 #include "cej/join/join_operator.h"
 #include "cej/join/join_sink.h"
-#include "cej/plan/access_path.h"
-#include "cej/plan/cost_model.h"
 #include "cej/plan/logical_plan.h"
 
 namespace cej {
@@ -44,24 +41,32 @@ class CostCalibrator;
 
 namespace cej::plan {
 
+/// The physical access path the vector side of an E-join took (paper
+/// Section VI.E): which operator family ran it.
+enum class AccessPath {
+  kScan,   ///< Scan-family operator over the (pre-filtered) right side.
+  kProbe,  ///< Per-tuple probes into a vector index.
+};
+
+const char* AccessPathName(AccessPath path);
+
 /// Execution environment.
 struct ExecContext {
   ThreadPool* pool = nullptr;
   la::SimdMode simd = la::SimdMode::kAuto;
-  CostParams cost_params;
-  /// Right-relation shard count handed to sharding operators
+  join::CostParams cost_params;
+  /// Shard count handed to sharding operators
   /// (join::JoinOptions::shard_count; 0 = auto from the pool width).
   size_t shard_count = 0;
-  /// Prebuilt vector indexes keyed by "<table>.<vector_column>" — the
-  /// Embed output column for rewritten plans, or a stored vector column.
-  /// An index must cover the *base table* rows of its Scan. Borrowed for
-  /// the duration of the call (plan-layer API); engine-managed queries
-  /// use `index_catalog` below instead.
-  std::unordered_map<std::string, const index::VectorIndex*> indexes;
-  /// Engine-managed index catalog, snapshotted at plan time. Entries are
-  /// shared_ptr-held by the snapshot, so an invalidation racing this
-  /// query (Engine::ReplaceTable) can never free an index mid-probe.
-  /// Consulted before `indexes`; lookups are counted in ExecStats.
+  /// Vector index catalog, snapshotted at plan time, keyed by
+  /// (table, vector column, model) — the Embed output column for
+  /// rewritten plans, or a stored vector column. An index must cover the
+  /// *base table* rows of its Scan. Entries are shared_ptr-held by the
+  /// snapshot, so an invalidation racing this query
+  /// (Engine::ReplaceTable) can never free an index mid-probe. Plan-layer
+  /// callers publish caller-owned indexes through
+  /// index::IndexManager::RegisterExternal. Lookups are counted in
+  /// ExecStats.
   std::shared_ptr<const index::IndexCatalogSnapshot> index_catalog;
   /// When set, the executor reports cost-scan losses (an index plan would
   /// have won but no index existed) here — feeding the manager's
@@ -74,9 +79,7 @@ struct ExecContext {
   /// table serve from (and populate) it; filtered Embed pipelines gather
   /// surviving rows out of a cached full-table matrix on a hit. The
   /// executor also PEEKS it at plan time: warm columns drop their model
-  /// term from every quote (cache-aware costing), and a warm right column
-  /// withdraws string-stream fusion (nothing left to overlap — plain
-  /// `tensor` takes the tie from `pipelined_tensor`).
+  /// term from every quote (cache-aware costing).
   EmbeddingCache* embedding_cache = nullptr;
   /// Adaptive cost calibration (cej/stats): when set, every executed join
   /// is recorded as an observation (workload features, quote, measured
@@ -92,15 +95,12 @@ struct ExecContext {
   /// immutable.
   stats::CostCalibrator* calibrator = nullptr;
   /// Forces the named registered operator for every EJoin ("" = cost
-  /// based). Takes precedence over force_scan / force_probe.
+  /// based): "tensor" forces the scan path, "index" the probe path.
   std::string force_operator;
   /// Restricts cost-based selection to operators whose traits declare
-  /// exact results (excludes approximate index probes). Ignored by the
-  /// force_* overrides.
+  /// exact results (excludes approximate index probes). Ignored by
+  /// force_operator.
   bool require_exact = false;
-  /// Access-path override for experiments: kScan/kProbe forced when set.
-  bool force_scan = false;
-  bool force_probe = false;
   /// Join-graph order override (test hook): executes a kJoinGraph's edges
   /// in exactly this order (a permutation of the edge submission indexes)
   /// instead of letting the JoinOrderEnumerator choose. Empty = enumerate.

@@ -10,34 +10,31 @@ namespace cej::stats {
 namespace {
 
 constexpr uint32_t kCalibrationMagic = 0x434a4543;  // "CEJC"
-// v2 added the pipelined overlap EWMA (rho) and its seed; v1 envelopes are
-// rejected (recalibration is cheap, silent field misinterpretation is not).
-constexpr uint32_t kCalibrationVersion = 2;
+// Envelopes of any other layout version are rejected (recalibration is
+// cheap, silent field misinterpretation is not).
+constexpr uint32_t kCalibrationVersion = 3;
 
 constexpr double kThetaFloor = 1e-6;
 constexpr double kThetaCeil = 1e12;
 constexpr double kEtaFloor = 0.05;
 constexpr double kEtaAlpha = 0.2;  // EWMA step for the scaling efficiency.
-constexpr double kRhoAlpha = 0.2;  // EWMA step for the overlap efficiency.
 
 // The persisted state, serialized as one trivially-copyable block guarded
 // by an FNV-1a checksum (corrupt envelopes must be rejected, not loaded).
-struct CalibrationEnvelopeV2 {
+struct CalibrationEnvelopeV3 {
   // Seed CostParams.
   double seed_access, seed_model, seed_compute, seed_tensor_efficiency;
   double seed_probe_base, seed_probe_per_candidate;
   uint64_t seed_probe_ef;
   double seed_parallel_efficiency;
-  double seed_pipeline_overlap;
   // Learned state.
   double theta[4];
   double normal[16];
   double rhs[4];
   double eta, eta_weight;
-  double rho, rho_weight;
   uint64_t calibratable, refits, observations;
 };
-static_assert(std::is_trivially_copyable_v<CalibrationEnvelopeV2>);
+static_assert(std::is_trivially_copyable_v<CalibrationEnvelopeV3>);
 
 bool AllFinite(const double* values, size_t count) {
   for (size_t i = 0; i < count; ++i) {
@@ -46,16 +43,15 @@ bool AllFinite(const double* values, size_t count) {
   return true;
 }
 
-bool EnvelopeFinite(const CalibrationEnvelopeV2& env) {
+bool EnvelopeFinite(const CalibrationEnvelopeV3& env) {
   // Every floating-point field by NAME — no pointer walks over struct
-  // layout, so reordering CalibrationEnvelopeV2 cannot silently shrink
+  // layout, so reordering CalibrationEnvelopeV3 cannot silently shrink
   // the validation window.
   for (double v :
        {env.seed_access, env.seed_model, env.seed_compute,
         env.seed_tensor_efficiency, env.seed_probe_base,
-        env.seed_probe_per_candidate, env.seed_parallel_efficiency,
-        env.seed_pipeline_overlap, env.eta, env.eta_weight, env.rho,
-        env.rho_weight}) {
+        env.seed_probe_per_candidate, env.seed_parallel_efficiency, env.eta,
+        env.eta_weight}) {
     if (!std::isfinite(v)) return false;
   }
   return AllFinite(env.theta, 4) && AllFinite(env.normal, 16) &&
@@ -121,7 +117,6 @@ CostCalibrator::CostCalibrator(Options options)
   ThetaFromParams(options_.seed, theta_seed_);
   std::memcpy(theta_, theta_seed_, sizeof(theta_));
   eta_ = std::clamp(options_.seed.parallel_efficiency, kEtaFloor, 1.0);
-  rho_ = std::clamp(options_.seed.pipeline_overlap, 0.0, 1.0);
 }
 
 std::shared_ptr<const join::CostParams> CostCalibrator::Current() const {
@@ -162,7 +157,6 @@ void CostCalibrator::Record(Observation obs) {
     window_abs_log_error_ += std::fabs(std::log(estimated / measured));
     ++window_count_;
   }
-  FitOverlapLocked(copy_for_fit);
   if (!calibratable) return;
   AccumulateLocked(copy_for_fit);
   ++stats_.calibratable;
@@ -209,30 +203,6 @@ void CostCalibrator::AccumulateLocked(const Observation& obs) {
       eta_weight_ += 1.0;
     }
   }
-}
-
-// Fits the pipelined overlap efficiency rho from an observation that
-// overlapped model time with its sweep: the operator reported E ns of
-// embedding hidden inside a W ns join phase, the current theta prices the
-// serial sweep at S ns, so the overlap actually realized is
-// E + S - W clamped to [0, min(E, S)] and rho_hat is its fraction of the
-// overlappable min(E, S). Gated on refits > 0 like the eta EWMA: before
-// the first refit S is priced by the (possibly skewed) seed and the ratio
-// would be noise, not signal.
-void CostCalibrator::FitOverlapLocked(const Observation& obs) {
-  if (obs.embed_overlapped_ns <= 0.0 || obs.join_phase_ns <= 0.0 ||
-      stats_.refits == 0) {
-    return;
-  }
-  const double e = obs.embed_overlapped_ns;
-  const double s = obs.features.sweep * theta_[2];
-  const double overlappable = std::min(e, s);
-  if (!(overlappable > 0.0) || !std::isfinite(obs.join_phase_ns)) return;
-  const double hidden =
-      std::clamp(e + s - obs.join_phase_ns, 0.0, overlappable);
-  const double rho_hat = hidden / overlappable;
-  rho_ = rho_weight_ == 0.0 ? rho_hat : rho_ + kRhoAlpha * (rho_hat - rho_);
-  rho_weight_ += 1.0;
 }
 
 void CostCalibrator::Refit() {
@@ -297,9 +267,6 @@ join::CostParams CostCalibrator::PublishedFromThetaLocked() const {
   p.parallel_efficiency = eta_weight_ > 0.0
                               ? std::clamp(eta_, kEtaFloor, 1.0)
                               : options_.seed.parallel_efficiency;
-  p.pipeline_overlap = rho_weight_ > 0.0
-                           ? std::clamp(rho_, 0.0, 1.0)
-                           : options_.seed.pipeline_overlap;
   return p;
 }
 
@@ -316,8 +283,6 @@ void CostCalibrator::ResetLearningLocked() {
   std::memset(rhs_, 0, sizeof(rhs_));
   eta_ = std::clamp(options_.seed.parallel_efficiency, kEtaFloor, 1.0);
   eta_weight_ = 0.0;
-  rho_ = std::clamp(options_.seed.pipeline_overlap, 0.0, 1.0);
-  rho_weight_ = 0.0;
   calibratable_ = 0;
   since_refit_ = 0;
   window_abs_log_error_ = 0.0;
@@ -352,7 +317,7 @@ CostCalibrator::Stats CostCalibrator::stats() const {
 }
 
 Status CostCalibrator::Save(const std::string& path) const {
-  CalibrationEnvelopeV2 env;
+  CalibrationEnvelopeV3 env;
   std::memset(&env, 0, sizeof(env));
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -365,7 +330,6 @@ Status CostCalibrator::Save(const std::string& path) const {
     env.seed_probe_per_candidate = seed.probe_per_candidate;
     env.seed_probe_ef = seed.probe_ef;
     env.seed_parallel_efficiency = seed.parallel_efficiency;
-    env.seed_pipeline_overlap = seed.pipeline_overlap;
     for (size_t i = 0; i < kCoeffs; ++i) {
       env.theta[i] = theta_[i];
       env.rhs[i] = rhs_[i];
@@ -375,8 +339,6 @@ Status CostCalibrator::Save(const std::string& path) const {
     }
     env.eta = eta_;
     env.eta_weight = eta_weight_;
-    env.rho = rho_;
-    env.rho_weight = rho_weight_;
     env.calibratable = calibratable_;
     env.refits = stats_.refits;
     env.observations = stats_.observations;
@@ -402,7 +364,7 @@ Status CostCalibrator::Load(const std::string& path) {
         "LoadCalibration: unsupported envelope version " +
         std::to_string(version));
   }
-  CalibrationEnvelopeV2 env;
+  CalibrationEnvelopeV3 env;
   CEJ_RETURN_IF_ERROR(reader.ReadPod(&env));
   uint64_t checksum = 0;
   CEJ_RETURN_IF_ERROR(reader.ReadPod(&checksum));
@@ -425,7 +387,6 @@ Status CostCalibrator::Load(const std::string& path) {
   seed.probe_per_candidate = env.seed_probe_per_candidate;
   seed.probe_ef = static_cast<size_t>(env.seed_probe_ef);
   seed.parallel_efficiency = env.seed_parallel_efficiency;
-  seed.pipeline_overlap = env.seed_pipeline_overlap;
   options_.seed = seed;
   ThetaFromParams(seed, theta_seed_);
   for (size_t i = 0; i < kCoeffs; ++i) {
@@ -437,8 +398,6 @@ Status CostCalibrator::Load(const std::string& path) {
   }
   eta_ = env.eta;
   eta_weight_ = env.eta_weight;
-  rho_ = std::clamp(env.rho, 0.0, 1.0);
-  rho_weight_ = env.rho_weight;
   calibratable_ = env.calibratable;
   // The diagnostic surfaces must agree with the restored regression
   // state: counters come from the envelope, and everything that is NOT

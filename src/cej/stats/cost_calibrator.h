@@ -17,7 +17,6 @@
 //   theta_S  per-pair blocked-sweep cost      -> CostParams::tensor_efficiency
 //   theta_I  per-candidate probe traversal    -> CostParams::probe_per_candidate
 //   eta      pool-scaling efficiency (EWMA)   -> CostParams::parallel_efficiency
-//   rho      pipelined overlap efficiency (EWMA) -> CostParams::pipeline_overlap
 //
 // Every operator's quote is linear in these (join::CostFeatures — the
 // SAME decomposition the operators price with), so the fit is a 4-way
@@ -161,7 +160,6 @@ class CostCalibrator {
   static constexpr size_t kCoeffs = 4;  // theta_M, theta_P, theta_S, theta_I
 
   void AccumulateLocked(const Observation& obs);
-  void FitOverlapLocked(const Observation& obs);
   void RefitLocked();
   join::CostParams PublishedFromThetaLocked() const;
   void ResetLearningLocked();
@@ -180,10 +178,6 @@ class CostCalibrator {
   // Pool-scaling efficiency EWMA over sharded observations.
   double eta_ = 1.0;
   double eta_weight_ = 0.0;
-  // Pipelined embed/sweep overlap efficiency EWMA (CostParams::
-  // pipeline_overlap) over observations carrying embed_overlapped_ns.
-  double rho_ = 1.0;
-  double rho_weight_ = 0.0;
   // Refit bookkeeping.
   uint64_t calibratable_ = 0;
   uint64_t since_refit_ = 0;

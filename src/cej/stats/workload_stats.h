@@ -57,12 +57,6 @@ struct Observation {
   /// (1 = solo). A fused batch is recorded ONCE — this field carries the
   /// per-query attribution.
   size_t fused_queries = 1;
-  /// Model time overlapped with the join phase and the join-phase wall
-  /// time (JoinStats::embed_overlapped_seconds / join_seconds in ns; 0
-  /// when the operator did not overlap) — the pipelined-overlap fit's
-  /// inputs.
-  double embed_overlapped_ns = 0.0;
-  double join_phase_ns = 0.0;
   /// Join-graph edge this join executed (submission index; -1 = a plain
   /// binary query outside a graph). Multi-join pipelines record one
   /// Observation per edge.

@@ -265,110 +265,104 @@ TEST_F(EngineCrossValidationTest, ApproximateIndexIsRecallChecked) {
       << "HNSW probe recall degraded";
 }
 
-TEST_F(EngineCrossValidationTest, PipelinedTensorMatchesTensorThroughEngine) {
-  // The fifth operator, through both execution surfaces. Via Execute the
-  // plan's right side is materialized, so pipelined degrades to the plain
-  // sweep; via Stream the fused string path runs — both must reproduce the
-  // tensor relation exactly.
-  const auto condition = join::JoinCondition::TopK(3);
-  auto tensor = engine_.Query("l")
+TEST_F(EngineCrossValidationTest, TensorMatchesAcrossShardCountsThroughEngine) {
+  // The tensor operator through both execution surfaces, on the pool-less
+  // fixture engine (one shard, the left-tile schedule) AND on pooled
+  // engines with the shard knob pinned (the right-row schedule): every
+  // shard count must reproduce the single-shard relation and pair stream
+  // exactly, for threshold and top-k alike.
+  for (const join::JoinCondition& condition :
+       {join::JoinCondition::Threshold(0.5f), join::JoinCondition::TopK(3)}) {
+    auto reference = engine_.Query("l")
+                         .EJoin("r", "word", condition)
+                         .Via("tensor")
+                         .Execute();
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(reference->stats.join_operator, "tensor");
+    EXPECT_EQ(reference->stats.join_stats.shards_used, 1u);  // No pool.
+    ASSERT_GT(reference->relation.num_rows(), 0u);
+    join::MaterializingSink reference_sink;
+    ASSERT_TRUE(engine_.Query("l")
                     .EJoin("r", "word", condition)
                     .Via("tensor")
-                    .Execute();
-  ASSERT_TRUE(tensor.ok()) << tensor.status().ToString();
-  auto pipelined = engine_.Query("l")
-                       .EJoin("r", "word", condition)
-                       .Via("pipelined_tensor")
-                       .Execute();
-  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
-  EXPECT_EQ(pipelined->stats.join_operator, "pipelined_tensor");
-  EXPECT_EQ(RenderPairs(pipelined->relation), RenderPairs(tensor->relation));
+                    .Stream(&reference_sink)
+                    .ok());
 
-  join::MaterializingSink tensor_sink, pipelined_sink;
-  ASSERT_TRUE(engine_.Query("l")
-                  .EJoin("r", "word", condition)
-                  .Via("tensor")
-                  .Stream(&tensor_sink)
-                  .ok());
-  plan::ExecStats stream_stats;
-  auto stats = engine_.Query("l")
-                   .EJoin("r", "word", condition)
-                   .Via("pipelined_tensor")
-                   .Stream(&pipelined_sink, &stream_stats);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stream_stats.join_operator, "pipelined_tensor");
-  EXPECT_EQ(pipelined_sink.pairs(), tensor_sink.pairs());
+    for (size_t shard_count : {size_t{1}, size_t{2}, size_t{7}}) {
+      Engine::Options pooled_options = ScalarEngine();
+      pooled_options.num_threads = 3;
+      pooled_options.join_shard_count = shard_count;  // Engine-level knob.
+      Engine pooled(pooled_options);
+      ASSERT_TRUE(
+          pooled.RegisterTable("l", WordsTable(left_words_, 43)).ok());
+      ASSERT_TRUE(
+          pooled.RegisterTable("r", WordsTable(right_words_, 44)).ok());
+      ASSERT_TRUE(pooled.RegisterModel("subword", &model_).ok());
+      auto pinned = pooled.Query("l")
+                        .EJoin("r", "word", condition)
+                        .Via("tensor")
+                        .Execute();
+      ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+      EXPECT_EQ(pinned->stats.join_operator, "tensor");
+      EXPECT_EQ(pinned->stats.join_stats.shards_used, shard_count);
+      EXPECT_EQ(RenderPairs(pinned->relation),
+                RenderPairs(reference->relation))
+          << "shards=" << shard_count;
+
+      join::MaterializingSink sink;
+      plan::ExecStats stream_stats;
+      ASSERT_TRUE(pooled.Query("l")
+                      .EJoin("r", "word", condition)
+                      .Via("tensor")
+                      .Stream(&sink, &stream_stats)
+                      .ok());
+      EXPECT_EQ(stream_stats.join_operator, "tensor");
+      EXPECT_EQ(sink.pairs(), reference_sink.pairs())
+          << "shards=" << shard_count;
+    }
+  }
 }
 
-TEST_F(EngineCrossValidationTest, ShardedTensorMatchesTensorThroughEngine) {
-  // The sixth operator: forced on the pool-less fixture engine (a single
-  // shard) AND on a pooled engine with the shard knob pinned, both must
-  // reproduce the tensor relation exactly.
-  const auto condition = join::JoinCondition::TopK(3);
-  auto tensor = engine_.Query("l")
-                    .EJoin("r", "word", condition)
-                    .Via("tensor")
-                    .Execute();
-  ASSERT_TRUE(tensor.ok()) << tensor.status().ToString();
-  auto sharded = engine_.Query("l")
-                     .EJoin("r", "word", condition)
-                     .Via("sharded_tensor")
-                     .Execute();
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded->stats.join_operator, "sharded_tensor");
-  EXPECT_EQ(sharded->stats.join_stats.shards_used, 1u);  // No pool.
-  EXPECT_EQ(RenderPairs(sharded->relation), RenderPairs(tensor->relation));
-
-  Engine::Options pooled_options = ScalarEngine();
-  pooled_options.num_threads = 3;
-  pooled_options.join_shard_count = 4;  // Engine-level shard knob.
-  Engine pooled(pooled_options);
-  ASSERT_TRUE(pooled.RegisterTable("l", WordsTable(left_words_, 43)).ok());
-  ASSERT_TRUE(pooled.RegisterTable("r", WordsTable(right_words_, 44)).ok());
-  ASSERT_TRUE(pooled.RegisterModel("subword", &model_).ok());
-  auto pinned = pooled.Query("l")
-                    .EJoin("r", "word", condition)
-                    .Via("sharded_tensor")
-                    .Execute();
-  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-  EXPECT_EQ(pinned->stats.join_stats.shards_used, 4u);
-  EXPECT_EQ(RenderPairs(pinned->relation), RenderPairs(tensor->relation));
-}
-
-TEST(EngineShardedSelectionTest, LargeWideJoinSelectsShardedTensorByCost) {
+TEST(EngineShardedSelectionTest, LargeWideJoinShardsTheTensorByCost) {
   // The acceptance workload: a large vector-domain join on a pooled
-  // engine. The registry scan must pick sharded_tensor unforced — its
-  // per-shard sweep / parallelism quote undercuts the serial tensor sweep
-  // once the right side clears the shard floor — and the result must be
-  // byte-identical to the forced tensor run.
+  // engine. The registry scan must pick tensor unforced and price — and
+  // run — its right-row schedule once the right side clears the shard
+  // floor; the result must be byte-identical to a pool-less engine's
+  // single-shard run.
   Engine::Options options;
   options.num_threads = 4;
-  // Scalar kernel: the byte-identity check below crosses operators whose
+  // Scalar kernel: the byte-identity check below crosses schedules whose
   // tile widths differ (shard boundaries), which kAuto's width-dependent
   // kernel split would perturb in the last ulp.
   options.simd = la::SimdMode::kForceScalar;
   Engine engine(options);
+  Engine::Options serial_options;
+  serial_options.simd = la::SimdMode::kForceScalar;
+  Engine serial(serial_options);
   la::Matrix left = workload::RandomUnitVectors(512, 8, 95);
   la::Matrix right = workload::RandomUnitVectors(6000, 8, 96);
-  ASSERT_TRUE(engine.RegisterTable("l", VectorTable(left.Clone())).ok());
-  ASSERT_TRUE(engine.RegisterTable("r", VectorTable(right.Clone())).ok());
+  for (Engine* e : {&engine, &serial}) {
+    ASSERT_TRUE(e->RegisterTable("l", VectorTable(left.Clone())).ok());
+    ASSERT_TRUE(e->RegisterTable("r", VectorTable(right.Clone())).ok());
+  }
 
   const auto condition = join::JoinCondition::TopK(2);
-  join::MaterializingSink chosen_sink, tensor_sink;
-  plan::ExecStats stats;
+  join::MaterializingSink chosen_sink, serial_sink;
+  plan::ExecStats stats, serial_stats;
   auto run = engine.Query("l")
                  .EJoin("r", "emb", condition)
                  .Stream(&chosen_sink, &stats);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(stats.join_operator, "sharded_tensor");
+  EXPECT_EQ(stats.join_operator, "tensor");
   EXPECT_EQ(stats.join_access_path, plan::AccessPath::kScan);
   EXPECT_GE(stats.join_stats.shards_used, 2u);
-  ASSERT_TRUE(engine.Query("l")
+  ASSERT_TRUE(serial.Query("l")
                   .EJoin("r", "emb", condition)
-                  .Via("tensor")
-                  .Stream(&tensor_sink)
+                  .Stream(&serial_sink, &serial_stats)
                   .ok());
-  EXPECT_EQ(chosen_sink.pairs(), tensor_sink.pairs());
+  EXPECT_EQ(serial_stats.join_operator, "tensor");
+  EXPECT_EQ(serial_stats.join_stats.shards_used, 1u);
+  EXPECT_EQ(chosen_sink.pairs(), serial_sink.pairs());
 }
 
 TEST(EngineConcurrencyTest, ConcurrentStreamsShareRegistryCacheAndPool) {
@@ -406,11 +400,11 @@ TEST(EngineConcurrencyTest, ConcurrentStreamsShareRegistryCacheAndPool) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       // Alternate forced operators so differently-parallel implementations
-      // overlap on the one pool: sharded (right shards), tensor (left
-      // tiles), and the cost-based pick (pipelined on this surface).
+      // overlap on the one pool: prefetch_nlj (left rows), tensor (right
+      // shards), and the cost-based pick.
       auto builder = engine.Query("l").EJoin("r", "word", condition);
       if (t % 3 == 0) {
-        builder.Via("sharded_tensor");
+        builder.Via("prefetch_nlj");
       } else if (t % 3 == 1) {
         builder.Via("tensor");
       }
@@ -511,7 +505,7 @@ TEST(EngineVectorTest, RequireExactExcludesApproximateOperators) {
 
   // Skew the cost model so the (approximate-traited) index operator wins
   // every cost comparison...
-  plan::CostParams params;
+  join::CostParams params;
   params.tensor_efficiency = 1e6;
   params.compute = 1e6;
   params.probe_base = 0.0;
@@ -723,11 +717,10 @@ TEST(EmbeddingCacheTest, LruEvictionRespectsTheByteBudget) {
 // Streaming operator selection
 // ---------------------------------------------------------------------------
 
-TEST(EngineStreamTest, StreamingStringJoinPicksThePipelinedOperator) {
-  // On the streaming surface the right Embed pipeline stays
-  // un-materialized, so the cost scan sees a string-streamable right side
-  // and max(embed, sweep) wins over embed + sweep unforced. The overlap
-  // needs workers: fusion is only offered when the engine has a pool.
+TEST(EngineStreamTest, StreamingStringJoinPicksTensorWithOrWithoutAPool) {
+  // On the streaming surface the right Embed pipeline materializes like on
+  // Execute, so the cost scan picks the same operator with or without
+  // workers, and the result does not depend on the pool.
   Engine::Options options;
   options.num_threads = 2;
   Engine engine(options);
@@ -744,13 +737,10 @@ TEST(EngineStreamTest, StreamingStringJoinPicksThePipelinedOperator) {
                  .EJoin("r", "word", join::JoinCondition::TopK(2))
                  .Stream(&sink, &stats);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(stats.join_operator, "pipelined_tensor");
+  EXPECT_EQ(stats.join_operator, "tensor");
   EXPECT_EQ(sink.count(), left_words.size() * 2u);
-  // The fused right side embeds inside the operator: |R| + |S| calls total.
   EXPECT_EQ(stats.model_calls, left_words.size() + right_words.size());
 
-  // Without a pool there is no overlap to price: the cost scan must fall
-  // back to a phase-ordered operator on the identical query.
   Engine poolless;
   ASSERT_TRUE(poolless.RegisterTable("l", WordsTable(left_words, 93)).ok());
   ASSERT_TRUE(poolless.RegisterTable("r", WordsTable(right_words, 94)).ok());
@@ -763,6 +753,35 @@ TEST(EngineStreamTest, StreamingStringJoinPicksThePipelinedOperator) {
                   .ok());
   EXPECT_EQ(poolless_stats.join_operator, "tensor");
   EXPECT_EQ(poolless_sink.count(), sink.count());
+}
+
+TEST(EngineStreamTest, RepeatedStreamServesTheColdColumnFromTheCache) {
+  // A cold, unfiltered right string column embeds once on the first
+  // Stream() and fills the engine embedding cache; a repeated Stream()
+  // over the same column must make no model calls at all, exactly like a
+  // repeated Execute().
+  Engine::Options options;
+  options.num_threads = 2;
+  Engine engine(options);
+  model::SubwordHashModel model;
+  auto left_words = workload::RandomStrings(20, 4, 8, 95);
+  auto right_words = workload::RandomStrings(5000, 4, 8, 96);
+  ASSERT_TRUE(engine.RegisterTable("l", WordsTable(left_words, 97)).ok());
+  ASSERT_TRUE(engine.RegisterTable("r", WordsTable(right_words, 98)).ok());
+  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+
+  for (int query = 0; query < 2; ++query) {
+    join::CountingSink sink;
+    plan::ExecStats stats;
+    auto run = engine.Query("l")
+                   .EJoin("r", "word", join::JoinCondition::TopK(3))
+                   .Stream(&sink, &stats);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(sink.count(), left_words.size() * 3u) << "query " << query;
+    EXPECT_EQ(stats.model_calls,
+              query == 0 ? left_words.size() + right_words.size() : 0u)
+        << "query " << query;
+  }
 }
 
 // ---------------------------------------------------------------------------

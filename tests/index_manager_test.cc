@@ -434,7 +434,7 @@ TEST(IndexSelectionTest, AutoBuildPublishesInBackgroundAfterLosses) {
   ASSERT_TRUE(engine.RegisterTable("q", VectorTable(left.Clone())).ok());
   ASSERT_TRUE(engine.RegisterTable("db", VectorTable(right.Clone())).ok());
   // Make probes overwhelmingly cheap so every scan is a recorded loss.
-  plan::CostParams params;
+  join::CostParams params;
   params.probe_base = 0.0;
   params.probe_per_candidate = 1e-9;
   engine.set_cost_params(params);
@@ -483,7 +483,7 @@ TEST(IndexSelectionTest, DisabledPolicyOnlyCountsLosses) {
   ASSERT_TRUE(engine.RegisterTable(
                   "db", VectorTable(workload::RandomUnitVectors(200, 8, 166)))
                   .ok());
-  plan::CostParams params;
+  join::CostParams params;
   params.probe_base = 0.0;
   params.probe_per_candidate = 1e-9;
   engine.set_cost_params(params);
@@ -523,7 +523,7 @@ TEST(IndexSnapshotTest, ReplaceTableCannotFreeAProbedIndex) {
       plan::Scan("q", *engine.Table("q")), plan::Scan("db", *old_db), "emb",
       "emb", nullptr, join::JoinCondition::TopK(1)));
   plan::ExecContext context = engine.MakeExecContext();
-  context.force_probe = true;
+  context.force_operator = "index";
 
   // Concurrent-replacement hazard, serialized: the catalog drops the
   // index, but the held snapshot must keep it probe-safe.

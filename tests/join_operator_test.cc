@@ -14,8 +14,7 @@
 #include "cej/index/flat_index.h"
 #include "cej/join/join_operator.h"
 #include "cej/join/join_sink.h"
-#include "cej/join/pipelined_tensor.h"
-#include "cej/join/sharded_join.h"
+#include "cej/join/sweep_kernel.h"
 #include "cej/join/tensor_join.h"
 #include "cej/model/subword_hash_model.h"
 #include "cej/workload/generators.h"
@@ -41,9 +40,7 @@ TEST(JoinStatsTest, MergeAccumulatesCountsAndMaxesBuffers) {
   b.embed_seconds = 0.25;
   b.join_seconds = 2.0;
 
-  a.embed_overlapped_seconds = 0.125;
   a.shards_used = 4;
-  b.embed_overlapped_seconds = 0.5;
   b.shards_used = 2;
 
   a += b;
@@ -52,7 +49,6 @@ TEST(JoinStatsTest, MergeAccumulatesCountsAndMaxesBuffers) {
   EXPECT_EQ(a.peak_buffer_bytes, 1024u);  // max, not sum
   EXPECT_DOUBLE_EQ(a.embed_seconds, 1.75);
   EXPECT_DOUBLE_EQ(a.join_seconds, 2.5);
-  EXPECT_DOUBLE_EQ(a.embed_overlapped_seconds, 0.625);
   EXPECT_EQ(a.shards_used, 4u);  // max, not sum
 
   const JoinStats c = a + b;
@@ -107,15 +103,14 @@ TEST(ValidationTest, ZeroKTopKRejectedEverywhere) {
 // Registry
 // ---------------------------------------------------------------------------
 
-TEST(RegistryTest, GlobalHoldsTheSixBuiltins) {
+TEST(RegistryTest, GlobalHoldsTheFourBuiltins) {
   auto& registry = JoinOperatorRegistry::Global();
-  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
-                           "pipelined_tensor", "sharded_tensor"}) {
-    auto op = registry.Find(name);
-    ASSERT_TRUE(op.ok()) << name;
-    EXPECT_EQ((*op)->Name(), name);
+  std::vector<std::string> names;
+  for (const JoinOperator* op : registry.operators()) {
+    names.emplace_back(op->Name());
   }
-  EXPECT_GE(registry.operators().size(), 6u);
+  EXPECT_EQ(names, (std::vector<std::string>{"naive_nlj", "prefetch_nlj",
+                                             "tensor", "index"}));
 }
 
 TEST(RegistryTest, UnknownNameListsRegisteredOperators) {
@@ -139,9 +134,7 @@ TEST(RegistryTest, TraitsDescribeTheBuiltins) {
   EXPECT_TRUE((*registry.Find("tensor"))->Traits().needs_vectors);
   EXPECT_TRUE((*registry.Find("index"))->Traits().needs_index);
   EXPECT_FALSE((*registry.Find("index"))->Traits().exact);
-  EXPECT_TRUE(
-      (*registry.Find("pipelined_tensor"))->Traits().streams_right_strings);
-  EXPECT_TRUE((*registry.Find("pipelined_tensor"))->Traits().exact);
+  EXPECT_TRUE((*registry.Find("tensor"))->Traits().exact);
 }
 
 // ---------------------------------------------------------------------------
@@ -161,28 +154,6 @@ TEST(PricingTest, OperatorOrderingMatchesThePaper) {
   const double tensor = (*registry.Find("tensor"))->EstimateCost(w, p);
   EXPECT_LT(tensor, prefetch);
   EXPECT_LT(prefetch, naive);
-}
-
-TEST(PricingTest, PipelinedPricesBelowTensorOnlyWhenStreamable) {
-  auto& registry = JoinOperatorRegistry::Global();
-  JoinWorkload w;
-  w.left_rows = 1000;
-  w.right_rows = 100000;
-  w.condition = JoinCondition::Threshold(0.9f);
-  CostParams p;
-  // Without a string-streamable right side there is nothing to overlap:
-  // the operator must stay out of the cost scan.
-  w.right_strings_streamable = false;
-  EXPECT_TRUE(std::isinf(
-      (*registry.Find("pipelined_tensor"))->EstimateCost(w, p)));
-  // With one, max(embed, sweep) per tile undercuts the phase-ordered
-  // embed + sweep of the tensor operator.
-  w.right_strings_streamable = true;
-  const double pipelined =
-      (*registry.Find("pipelined_tensor"))->EstimateCost(w, p);
-  const double tensor = (*registry.Find("tensor"))->EstimateCost(w, p);
-  EXPECT_TRUE(std::isfinite(pipelined));
-  EXPECT_LT(pipelined, tensor);
 }
 
 TEST(PricingTest, IndexOperatorIsInfiniteWithoutAnIndex) {
@@ -322,8 +293,7 @@ TEST_F(OperatorRunTest, MissingInputsAreRejected) {
   auto& registry = JoinOperatorRegistry::Global();
   JoinInputs empty;
   MaterializingSink sink;
-  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
-                           "pipelined_tensor"}) {
+  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index"}) {
     auto result = (*registry.Find(name))
                       ->Run(empty, JoinCondition::Threshold(0.5f), {}, &sink);
     EXPECT_FALSE(result.ok()) << name;
@@ -332,146 +302,10 @@ TEST_F(OperatorRunTest, MissingInputsAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined tensor join
+// Tensor join schedules: left tiles vs right-row shards
 // ---------------------------------------------------------------------------
 
-class PipelinedTensorTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    left_words_ = workload::RandomStrings(40, 4, 10, 71);
-    right_words_ = workload::RandomStrings(700, 4, 10, 72);
-    // Plant the left words into the right relation so threshold joins are
-    // guaranteed non-empty (identical strings embed identically).
-    right_words_.insert(right_words_.end(), left_words_.begin(),
-                        left_words_.end());
-    left_emb_ = model_.EmbedBatch(left_words_);
-  }
-  model::SubwordHashModel model_;
-  std::vector<std::string> left_words_, right_words_;
-  la::Matrix left_emb_;
-};
-
-TEST_F(PipelinedTensorTest, MatchesTensorAcrossTilesAndConditions) {
-  // The overlap must be invisible in the result: a multi-tile pipelined
-  // run over raw right strings reproduces the plain tensor sweep over the
-  // prefetched matrix byte for byte, for threshold and top-k alike.
-  ThreadPool pool(4);
-  la::Matrix right_emb = model_.EmbedBatch(right_words_);
-  for (const JoinCondition& condition :
-       {JoinCondition::Threshold(0.4f), JoinCondition::TopK(3)}) {
-    TensorJoinOptions tensor_options;
-    tensor_options.simd = la::SimdMode::kForceScalar;
-    auto reference =
-        TensorJoinMatrices(left_emb_, right_emb, condition, tensor_options);
-    ASSERT_TRUE(reference.ok());
-    ASSERT_GT(reference->pairs.size(), 0u);
-
-    PipelinedTensorOptions options;
-    options.simd = la::SimdMode::kForceScalar;
-    options.pool = &pool;
-    options.pipeline_tile_rows = 128;  // Many tiles: real overlap.
-    MaterializingSink sink;
-    auto stats = PipelinedTensorJoinToSink(left_emb_, right_words_, model_,
-                                           condition, options, &sink);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->model_calls, right_words_.size());
-    EXPECT_EQ(stats->similarity_computations,
-              left_emb_.rows() * right_words_.size());
-    // The producer's model time is hidden INSIDE the join wall time: it
-    // must be reported as the overlapped component, never as
-    // embed_seconds (summing embed + join would double-count it).
-    EXPECT_EQ(stats->embed_seconds, 0.0);
-    EXPECT_GT(stats->embed_overlapped_seconds, 0.0);
-    EXPECT_LE(stats->embed_overlapped_seconds, stats->join_seconds);
-    ASSERT_EQ(sink.pairs().size(), reference->pairs.size());
-    for (size_t i = 0; i < sink.pairs().size(); ++i) {
-      EXPECT_EQ(sink.pairs()[i], reference->pairs[i]) << i;
-    }
-  }
-}
-
-TEST_F(PipelinedTensorTest, OperatorAcceptsStringsAndVectorsAlike) {
-  auto& registry = JoinOperatorRegistry::Global();
-  const JoinOperator* pipelined = *registry.Find("pipelined_tensor");
-  const JoinOperator* tensor = *registry.Find("tensor");
-  const JoinCondition condition = JoinCondition::TopK(2);
-  JoinOptions options;
-  options.simd = la::SimdMode::kForceScalar;
-
-  // Context domain on the right: the pipelined path proper.
-  JoinInputs string_inputs;
-  string_inputs.left_vectors = &left_emb_;
-  string_inputs.right_strings = &right_words_;
-  string_inputs.model = &model_;
-  MaterializingSink string_sink;
-  auto string_stats =
-      pipelined->Run(string_inputs, condition, options, &string_sink);
-  ASSERT_TRUE(string_stats.ok()) << string_stats.status().ToString();
-  EXPECT_EQ(string_stats->model_calls, right_words_.size());
-  // No pool: the phase-alternating fallback ran, so its model time is
-  // ordinary (non-overlapped) embed_seconds — nothing was hidden.
-  EXPECT_GT(string_stats->embed_seconds, 0.0);
-  EXPECT_EQ(string_stats->embed_overlapped_seconds, 0.0);
-
-  // Vector domain on both sides: degrades to the plain blocked sweep.
-  la::Matrix right_emb = model_.EmbedBatch(right_words_);
-  JoinInputs vector_inputs;
-  vector_inputs.left_vectors = &left_emb_;
-  vector_inputs.right_vectors = &right_emb;
-  MaterializingSink vector_sink;
-  ASSERT_TRUE(
-      pipelined->Run(vector_inputs, condition, options, &vector_sink).ok());
-
-  MaterializingSink tensor_sink;
-  ASSERT_TRUE(
-      tensor->Run(vector_inputs, condition, options, &tensor_sink).ok());
-  EXPECT_EQ(string_sink.pairs(), tensor_sink.pairs());
-  EXPECT_EQ(vector_sink.pairs(), tensor_sink.pairs());
-
-  // Both representations supplied: the supplied matrix wins — the right
-  // side is never re-embedded (the MaterializeVectors contract).
-  JoinInputs both_inputs = vector_inputs;
-  both_inputs.right_strings = &right_words_;
-  both_inputs.model = &model_;
-  const uint64_t calls_before = model_.embed_calls();
-  MaterializingSink both_sink;
-  auto both_stats = pipelined->Run(both_inputs, condition, options,
-                                   &both_sink);
-  ASSERT_TRUE(both_stats.ok());
-  EXPECT_EQ(both_stats->model_calls, 0u);
-  EXPECT_EQ(model_.embed_calls(), calls_before);
-  EXPECT_EQ(both_sink.pairs(), tensor_sink.pairs());
-}
-
-TEST_F(PipelinedTensorTest, EarlyTerminationStopsMidTileAndAbortsEmbedding) {
-  // A bounded sink must stop the sweep inside a tile AND starve the
-  // producer: tiles past the double-buffer horizon are never embedded.
-  ThreadPool pool(4);
-  PipelinedTensorOptions options;
-  options.pool = &pool;
-  options.pipeline_tile_rows = 64;  // 700 rows -> 11 tiles.
-  MaterializingSink::Options sink_options;
-  sink_options.max_pairs = 200;
-  MaterializingSink sink(sink_options);
-  // Threshold below -1: every pair qualifies, so the bound hits fast.
-  auto stats = PipelinedTensorJoinToSink(left_emb_, right_words_, model_,
-                                         JoinCondition::Threshold(-2.0f),
-                                         options, &sink);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE(sink.truncated());
-  EXPECT_EQ(sink.pairs().size(), 200u);
-  const uint64_t full_sweep = left_emb_.rows() * right_words_.size();
-  EXPECT_LT(stats->similarity_computations, full_sweep);
-  // At most the consumed tile, the two queued tiles, and one in-flight
-  // embed can have run; the tail of the stream must never reach the model.
-  EXPECT_LT(stats->model_calls, right_words_.size());
-}
-
-// ---------------------------------------------------------------------------
-// Sharded tensor join
-// ---------------------------------------------------------------------------
-
-class ShardedJoinTest : public ::testing::Test {
+class TensorShardingTest : public ::testing::Test {
  protected:
   void SetUp() override {
     left_ = workload::RandomUnitVectors(90, 16, 81);
@@ -480,20 +314,22 @@ class ShardedJoinTest : public ::testing::Test {
   la::Matrix left_, right_;
 };
 
-TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
-  // The acceptance contract: byte-identical sorted pairs to the plain
-  // tensor sweep for every shard count, for threshold and top-k alike,
-  // through a materializing AND a callback sink. Both operators execute
-  // the one shared sweep kernel, so this holds by construction — the test
-  // guards the partition/merge plumbing around it. The scalar kernel is
-  // pinned because shard boundaries change tile widths, and kAuto's
-  // 8-dot/1-dot kernel split follows the width (last-ulp differences).
+TEST_F(TensorShardingTest, MatchesAcrossShardCountsConditionsAndSinks) {
+  // The acceptance contract: byte-identical sorted pairs to the left-tile
+  // schedule (one shard) for every shard count, for threshold and top-k
+  // alike, through a materializing AND a callback sink. Both schedules
+  // execute the one shared sweep kernel, so this holds by construction —
+  // the test guards the partition/merge plumbing around it. The scalar
+  // kernel is pinned because shard boundaries change tile widths, and
+  // kAuto's 8-dot/1-dot kernel split follows the width (last-ulp
+  // differences).
   ThreadPool pool(4);
   for (const JoinCondition& condition :
        {JoinCondition::Threshold(0.35f), JoinCondition::TopK(3)}) {
     TensorJoinOptions tensor_options;
     tensor_options.pool = &pool;
     tensor_options.simd = la::SimdMode::kForceScalar;
+    tensor_options.shard_count = 1;
     auto reference =
         TensorJoinMatrices(left_, right_, condition, tensor_options);
     ASSERT_TRUE(reference.ok());
@@ -501,14 +337,14 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
 
     for (size_t shard_count : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
                                size_t{16}}) {
-      ShardedJoinOptions options;
+      TensorJoinOptions options;
       options.pool = &pool;
       options.simd = la::SimdMode::kForceScalar;
       options.shard_count = shard_count;
 
       MaterializingSink sink;
-      auto stats = ShardedTensorJoinMatricesToSink(left_, right_, condition,
-                                                   options, &sink);
+      auto stats =
+          TensorJoinMatricesToSink(left_, right_, condition, options, &sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       EXPECT_EQ(stats->shards_used, shard_count);
       EXPECT_EQ(stats->similarity_computations,
@@ -529,8 +365,8 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
         collected.insert(collected.end(), pairs, pairs + count);
         return true;
       });
-      ASSERT_TRUE(ShardedTensorJoinMatricesToSink(left_, right_, condition,
-                                                  options, &callback)
+      ASSERT_TRUE(TensorJoinMatricesToSink(left_, right_, condition, options,
+                                           &callback)
                       .ok());
       SortPairs(&collected);
       EXPECT_EQ(collected, reference->pairs) << "shards=" << shard_count;
@@ -538,104 +374,104 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
   }
 }
 
-TEST_F(ShardedJoinTest, AutoShardingFollowsPoolAndFloor) {
-  ShardedJoinOptions options;
+TEST_F(TensorShardingTest, AutoShardingFollowsPoolAndFloor) {
   // No pool: one shard regardless of size.
-  EXPECT_EQ(ResolveShardCount(100000, nullptr, options), 1u);
-  ThreadPool pool(3);
-  options.pool = &pool;
+  EXPECT_EQ(PoolWorkers(nullptr), 1u);
+  EXPECT_EQ(ResolveShardCount(100000, 1, 0, kMinShardRows), 1u);
   // Caller-runs pool of 3 → up to 4 workers; floor 1024 rows per shard.
-  EXPECT_EQ(ResolveShardCount(100000, &pool, options), 4u);
-  EXPECT_EQ(ResolveShardCount(2048, &pool, options), 2u);
-  EXPECT_EQ(ResolveShardCount(1000, &pool, options), 1u);  // Below floor.
+  ThreadPool pool(3);
+  const size_t workers = PoolWorkers(&pool);
+  EXPECT_EQ(workers, 4u);
+  EXPECT_EQ(ResolveShardCount(100000, workers, 0, kMinShardRows), 4u);
+  EXPECT_EQ(ResolveShardCount(2048, workers, 0, kMinShardRows), 2u);
+  EXPECT_EQ(ResolveShardCount(1000, workers, 0, kMinShardRows), 1u);
   // Explicit count wins, clamped to the row count.
-  options.shard_count = 9;
-  EXPECT_EQ(ResolveShardCount(100000, &pool, options), 9u);
-  EXPECT_EQ(ResolveShardCount(5, &pool, options), 5u);
+  EXPECT_EQ(ResolveShardCount(100000, workers, 9, kMinShardRows), 9u);
+  EXPECT_EQ(ResolveShardCount(5, workers, 9, kMinShardRows), 5u);
 }
 
-TEST_F(ShardedJoinTest, OperatorRegisteredWithTensorSemantics) {
-  auto& registry = JoinOperatorRegistry::Global();
-  const JoinOperator* sharded = *registry.Find("sharded_tensor");
-  EXPECT_TRUE(sharded->Traits().needs_vectors);
-  EXPECT_TRUE(sharded->Traits().exact);
-
+TEST_F(TensorShardingTest, OperatorRunsThePinnedShardCount) {
+  const JoinOperator* tensor =
+      *JoinOperatorRegistry::Global().Find("tensor");
   ThreadPool pool(4);
   JoinOptions options;
   options.pool = &pool;
-  options.simd = la::SimdMode::kForceScalar;  // Cross-operator identity.
-  options.shard_count = 5;
+  options.simd = la::SimdMode::kForceScalar;  // Cross-schedule identity.
   JoinInputs inputs;
   inputs.left_vectors = &left_;
   inputs.right_vectors = &right_;
-  MaterializingSink sharded_sink, tensor_sink;
-  auto stats = sharded->Run(inputs, JoinCondition::TopK(2), options,
-                            &sharded_sink);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->shards_used, 5u);
-  ASSERT_TRUE((*registry.Find("tensor"))
-                  ->Run(inputs, JoinCondition::TopK(2), options, &tensor_sink)
-                  .ok());
-  EXPECT_EQ(sharded_sink.pairs(), tensor_sink.pairs());
+  MaterializingSink tiled_sink, sharded_sink;
+  auto tiled = tensor->Run(inputs, JoinCondition::TopK(2), options,
+                           &tiled_sink);
+  ASSERT_TRUE(tiled.ok()) << tiled.status().ToString();
+  EXPECT_EQ(tiled->shards_used, 1u);  // 1200 rows: below two shard floors.
+  options.shard_count = 5;
+  auto sharded = tensor->Run(inputs, JoinCondition::TopK(2), options,
+                             &sharded_sink);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_EQ(sharded->shards_used, 5u);
+  EXPECT_EQ(sharded_sink.pairs(), tiled_sink.pairs());
 }
 
-TEST_F(ShardedJoinTest, PricingRequiresWorkersAndEnoughRows) {
-  auto& registry = JoinOperatorRegistry::Global();
-  const JoinOperator* sharded = *registry.Find("sharded_tensor");
+TEST_F(TensorShardingTest, PricingFollowsTheResolvedSchedule) {
+  const JoinOperator* tensor =
+      *JoinOperatorRegistry::Global().Find("tensor");
   CostParams p;
   JoinWorkload w;
   w.left_rows = 5000;
   w.right_rows = 100000;
   w.condition = JoinCondition::Threshold(0.9f);
-  // No workers: a single shard is the tensor operator — bow out.
+  const auto left_tile_cost = [&](const JoinWorkload& shape) {
+    return static_cast<double>(shape.right_rows) * p.access +
+           TensorJoinCost(shape.left_rows, shape.right_rows, p);
+  };
+  const auto right_shard_cost = [&](const JoinWorkload& shape,
+                                    size_t shards) {
+    const double m = static_cast<double>(shape.left_rows);
+    const double n = static_cast<double>(shape.right_rows);
+    return n * p.access + (m + n) * p.model +
+           m * n * (p.access + p.compute) * p.tensor_efficiency /
+               ParallelSpeedup(shards, shape.pool_threads, p) +
+           m * static_cast<double>(shards) * p.compute;
+  };
+  // No workers: one shard, the left-tile schedule's quote.
   w.pool_threads = 1;
-  EXPECT_TRUE(std::isinf(sharded->EstimateCost(w, p)));
+  EXPECT_DOUBLE_EQ(tensor->EstimateCost(w, p), left_tile_cost(w));
   // Too few right rows to clear the shard floor: likewise.
   w.pool_threads = 8;
   w.right_rows = 500;
-  EXPECT_TRUE(std::isinf(sharded->EstimateCost(w, p)));
-  // Large wide join with real parallelism: undercuts the plain tensor.
+  EXPECT_DOUBLE_EQ(tensor->EstimateCost(w, p), left_tile_cost(w));
+  // Large wide join with real parallelism: the right-row schedule at the
+  // auto shard count, which undercuts the left-tile quote.
   w.right_rows = 100000;
-  const double sharded_cost = sharded->EstimateCost(w, p);
-  const double tensor_cost =
-      (*registry.Find("tensor"))->EstimateCost(w, p);
-  EXPECT_TRUE(std::isfinite(sharded_cost));
-  EXPECT_LT(sharded_cost, tensor_cost);
-  // The quote matches the published cost formula at the auto shard count.
-  const double expected =
-      static_cast<double>(w.right_rows) * p.access +
-      ShardedJoinCost(w.left_rows, w.right_rows,
-                      AutoShardCount(w.right_rows, w.pool_threads,
-                                     ShardedJoinOptions{}.min_shard_rows),
-                      w.pool_threads, p);
-  EXPECT_DOUBLE_EQ(sharded_cost, expected);
+  const double sharded_cost = tensor->EstimateCost(w, p);
+  EXPECT_DOUBLE_EQ(sharded_cost, right_shard_cost(w, 8));
+  EXPECT_LT(sharded_cost, left_tile_cost(w));
   // A pinned shard count is priced AS PINNED — the quote must track the
   // configuration Run() will execute, not the auto shape (over-sharding
   // past the worker count pays its merge term without extra speedup).
   w.shard_count = 64;
-  const double pinned_cost = sharded->EstimateCost(w, p);
-  EXPECT_DOUBLE_EQ(
-      pinned_cost,
-      static_cast<double>(w.right_rows) * p.access +
-          ShardedJoinCost(w.left_rows, w.right_rows, 64, w.pool_threads, p));
+  const double pinned_cost = tensor->EstimateCost(w, p);
+  EXPECT_DOUBLE_EQ(pinned_cost, right_shard_cost(w, 64));
   EXPECT_GT(pinned_cost, sharded_cost);
 }
 
-TEST_F(ShardedJoinTest, EarlyTerminationStopsMidShard) {
+TEST_F(TensorShardingTest, EarlyTerminationStopsMidShard) {
   // A bounded sink must stop the sweep INSIDE a shard: the stop flag is
   // shared across shard workers, so the operator performs a fraction of
   // the full cross product before returning.
   ThreadPool pool(4);
-  ShardedJoinOptions options;
+  TensorJoinOptions options;
   options.pool = &pool;
   options.shard_count = 4;
   MaterializingSink::Options sink_options;
   sink_options.max_pairs = 500;
   MaterializingSink sink(sink_options);
   // Threshold below -1: every pair qualifies, so the bound hits fast.
-  auto stats = ShardedTensorJoinMatricesToSink(
+  auto stats = TensorJoinMatricesToSink(
       left_, right_, JoinCondition::Threshold(-2.0f), options, &sink);
   ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->shards_used, 4u);
   EXPECT_TRUE(sink.truncated());
   EXPECT_EQ(sink.pairs().size(), 500u);
   EXPECT_LT(stats->similarity_computations,

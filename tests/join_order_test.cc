@@ -216,25 +216,28 @@ const std::vector<std::string> kTagVocab = {"urban", "rural", "coast",
 
 class MultiJoinTest : public ::testing::Test {
  protected:
-  MultiJoinTest() : engine_(MakeOptions()) {
-    CEJ_CHECK(engine_.RegisterModel("hash", &model_).ok());
+  MultiJoinTest() : engine_(MakeOptions()) { Populate(&engine_, &model_); }
+
+  // Registers the model and the four tables on `engine`.
+  static void Populate(Engine* engine, const model::EmbeddingModel* model) {
+    CEJ_CHECK(engine->RegisterModel("hash", model).ok());
     // Star on A: e0 reaches the big B, e1 the tiny C — the shape where
     // submission order is measurably worse than joining C first.
-    CEJ_CHECK(engine_
-                  .RegisterTable(
+    CEJ_CHECK(engine
+                  ->RegisterTable(
                       "A", StringTable({{"dedup", CycleWords(50, kDedupVocab)},
                                         {"tag", CycleWords(50, kTagVocab)}}))
                   .ok());
-    CEJ_CHECK(engine_
-                  .RegisterTable("B", StringTable({{"bkey", CycleWords(
+    CEJ_CHECK(engine
+                  ->RegisterTable("B", StringTable({{"bkey", CycleWords(
                                                        600, kDedupVocab)}}))
                   .ok());
-    CEJ_CHECK(engine_
-                  .RegisterTable("C", StringTable({{"ckey", CycleWords(
+    CEJ_CHECK(engine
+                  ->RegisterTable("C", StringTable({{"ckey", CycleWords(
                                                        10, kTagVocab)}}))
                   .ok());
-    CEJ_CHECK(engine_
-                  .RegisterTable("D", StringTable({{"dkey", CycleWords(
+    CEJ_CHECK(engine
+                  ->RegisterTable("D", StringTable({{"dkey", CycleWords(
                                                        6, kTagVocab)}}))
                   .ok());
   }
@@ -251,8 +254,10 @@ class MultiJoinTest : public ::testing::Test {
     return options;
   }
 
-  QueryBuilder Query3() const {
-    return engine_.Query("A")
+  QueryBuilder Query3() const { return Chain3(engine_); }
+
+  static QueryBuilder Chain3(const Engine& engine) {
+    return engine.Query("A")
         .EJoin("B", "dedup", "bkey", join::JoinCondition::Threshold(0.95f))
         .EJoin("C", "tag", "ckey", join::JoinCondition::Threshold(0.95f));
   }
@@ -319,6 +324,32 @@ TEST_F(MultiJoinTest, FourRelationChainIdenticalUnderAllSixOrders) {
         << "result depends on join order {" << order[0] << "," << order[1]
         << "," << order[2] << "}";
   } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST_F(MultiJoinTest, ForcedOrdersIdenticalAcrossShardCounts) {
+  // The tensor operator picks its schedule from the shard count (left
+  // tiles at one shard, right-row shards above); every forced order must
+  // reproduce the auto-sharded DP result under every pinned count.
+  auto dp = Pinned3().Execute();
+  ASSERT_TRUE(dp.ok()) << dp.status().ToString();
+  const auto rows = CanonicalRows(dp->relation);
+  ASSERT_FALSE(rows.empty());
+  for (size_t shard_count : {size_t{1}, size_t{2}, size_t{7}}) {
+    Engine::Options options = MakeOptions();
+    options.join_shard_count = shard_count;
+    Engine sharded(options);
+    Populate(&sharded, &model_);
+    for (const auto& order :
+         {std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
+      auto forced =
+          Chain3(sharded).Via("tensor").ForceJoinOrder(order).Execute();
+      ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+      EXPECT_EQ(forced->stats.join_stats.shards_used, shard_count);
+      EXPECT_EQ(CanonicalRows(forced->relation), rows)
+          << "shards=" << shard_count << " order {" << order[0] << ","
+          << order[1] << "}";
+    }
+  }
 }
 
 TEST_F(MultiJoinTest, StreamMatchesExecuteUnderDpAndForcedOrders) {

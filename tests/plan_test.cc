@@ -7,8 +7,9 @@
 #include "cej/index/flat_index.h"
 #include "cej/index/hnsw_index.h"
 #include "cej/index/ivf_index.h"
+#include "cej/index/index_manager.h"
+#include "cej/join/join_operator.h"
 #include "cej/model/subword_hash_model.h"
-#include "cej/plan/access_path.h"
 #include "cej/plan/cost_model.h"
 #include "cej/plan/executor.h"
 #include "cej/plan/logical_plan.h"
@@ -237,43 +238,43 @@ TEST(RewriteTest, OptimizeReducesModelCalls) {
 // ---------------------------------------------------------------------------
 
 TEST(CostModelTest, PrefetchBeatsNaive) {
-  CostParams p;
+  join::CostParams p;
   for (size_t n : {10u, 100u, 1000u, 100000u}) {
-    EXPECT_LT(PrefetchENljCost(n, n, p), NaiveENljCost(n, n, p)) << n;
+    EXPECT_LT(join::PrefetchENljCost(n, n, p), join::NaiveENljCost(n, n, p)) << n;
   }
 }
 
 TEST(CostModelTest, NaiveGapGrowsQuadratically) {
-  CostParams p;
+  join::CostParams p;
   const double gap_small =
-      NaiveENljCost(100, 100, p) / PrefetchENljCost(100, 100, p);
+      join::NaiveENljCost(100, 100, p) / join::PrefetchENljCost(100, 100, p);
   const double gap_large =
-      NaiveENljCost(10000, 10000, p) / PrefetchENljCost(10000, 10000, p);
+      join::NaiveENljCost(10000, 10000, p) / join::PrefetchENljCost(10000, 10000, p);
   EXPECT_GT(gap_large, gap_small);
 }
 
 TEST(CostModelTest, TensorBeatsPrefetchNlj) {
-  CostParams p;
-  EXPECT_LT(TensorJoinCost(10000, 10000, p),
-            PrefetchENljCost(10000, 10000, p));
+  join::CostParams p;
+  EXPECT_LT(join::TensorJoinCost(10000, 10000, p),
+            join::PrefetchENljCost(10000, 10000, p));
 }
 
 TEST(CostModelTest, SelectionCostIsLinear) {
-  CostParams p;
-  EXPECT_DOUBLE_EQ(ESelectionCost(2000, p), 2 * ESelectionCost(1000, p));
+  join::CostParams p;
+  EXPECT_DOUBLE_EQ(join::ESelectionCost(2000, p), 2 * join::ESelectionCost(1000, p));
 }
 
 TEST(CostModelTest, ProbeCostGrowsLogarithmically) {
-  CostParams p;
-  const double c1k = IndexProbeCost(1000, p);
-  const double c1m = IndexProbeCost(1000000, p);
+  join::CostParams p;
+  const double c1k = join::IndexProbeCost(1000, p);
+  const double c1m = join::IndexProbeCost(1000000, p);
   EXPECT_GT(c1m, c1k);
   EXPECT_LT(c1m, 3.0 * c1k);  // log(1e6)/log(1e3) = 2.
 }
 
 TEST(CostModelTest, CalibrationProducesPositiveParams) {
   model::SubwordHashModel model;
-  CostParams p = Calibrate(model, 64);
+  join::CostParams p = Calibrate(model, 64);
   EXPECT_GT(p.model, 0.0);
   EXPECT_GT(p.compute, 0.0);
   EXPECT_GT(p.access, 0.0);
@@ -285,55 +286,76 @@ TEST(CostModelTest, CalibrationProducesPositiveParams) {
 // Access-path selection
 // ---------------------------------------------------------------------------
 
+// Scan vs probe as the executor's cost scan compares them: the registry's
+// "tensor" and "index" quotes for one workload at pool_threads = 1 (ties go
+// to the scan).
+struct ScanProbeQuotes {
+  double scan;
+  double probe;
+  AccessPath path() const {
+    return scan <= probe ? AccessPath::kScan : AccessPath::kProbe;
+  }
+};
+
+ScanProbeQuotes QuoteScanAndProbe(const join::JoinWorkload& workload,
+                                  const join::CostParams& params) {
+  const auto& registry = join::JoinOperatorRegistry::Global();
+  return {(*registry.Find("tensor"))->EstimateCost(workload, params),
+          (*registry.Find("index"))->EstimateCost(workload, params)};
+}
+
+// A left_rows x right_rows workload with an index available.
+join::JoinWorkload IndexedWorkload(size_t left_rows, size_t right_rows,
+                                   join::JoinCondition condition) {
+  join::JoinWorkload w;
+  w.left_rows = left_rows;
+  w.right_rows = right_rows;
+  w.condition = condition;
+  w.index_available = true;
+  return w;
+}
+
 TEST(AccessPathTest, NoIndexMeansScan) {
-  AccessPathQuery query;
-  query.left_rows = 100;
-  query.right_rows = 100000;
-  query.index_available = false;
-  auto d = ChooseAccessPath(query, CostParams{});
-  EXPECT_EQ(d.path, AccessPath::kScan);
+  join::JoinWorkload w = IndexedWorkload(100, 100000, join::JoinCondition{});
+  w.index_available = false;
+  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).path(),
+            AccessPath::kScan);
 }
 
 TEST(AccessPathTest, LowSelectivityFavoursScan) {
   // Few right tuples survive the relational filter: scanning the survivors
   // is cheaper than full-index probes (Figure 15's left region).
-  AccessPathQuery query;
-  query.left_rows = 10000;
-  query.right_rows = 1000000;
-  query.condition = join::JoinCondition::TopK(1);
-  query.right_selectivity = 0.001;
-  auto d = ChooseAccessPath(query, CostParams{});
-  EXPECT_EQ(d.path, AccessPath::kScan);
+  join::JoinWorkload w =
+      IndexedWorkload(10000, 1000000, join::JoinCondition::TopK(1));
+  w.right_selectivity = 0.001;
+  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).path(),
+            AccessPath::kScan);
 }
 
 TEST(AccessPathTest, HighSelectivityTopK1FavoursProbe) {
   // At ~100% selectivity with top-1 probes, the index wins (Figure 15's
   // right region).
-  AccessPathQuery query;
-  query.left_rows = 10000;
-  query.right_rows = 1000000;
-  query.condition = join::JoinCondition::TopK(1);
-  query.right_selectivity = 1.0;
-  auto d = ChooseAccessPath(query, CostParams{});
-  EXPECT_EQ(d.path, AccessPath::kProbe);
+  join::JoinWorkload w =
+      IndexedWorkload(10000, 1000000, join::JoinCondition::TopK(1));
+  w.right_selectivity = 1.0;
+  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).path(),
+            AccessPath::kProbe);
 }
 
 TEST(AccessPathTest, CrossoverSelectivityIsMonotone) {
   // Scanning must win below the crossover and probing above it; the
   // decision flips exactly once as selectivity rises.
-  AccessPathQuery query;
-  query.left_rows = 10000;
-  query.right_rows = 1000000;
-  query.condition = join::JoinCondition::TopK(1);
-  CostParams p;
+  join::JoinWorkload w =
+      IndexedWorkload(10000, 1000000, join::JoinCondition::TopK(1));
+  join::CostParams p;
   int flips = 0;
   AccessPath last = AccessPath::kScan;
   for (double sel = 0.0; sel <= 1.0; sel += 0.01) {
-    query.right_selectivity = sel;
-    auto d = ChooseAccessPath(query, p);
-    if (d.path != last) {
+    w.right_selectivity = sel;
+    const AccessPath path = QuoteScanAndProbe(w, p).path();
+    if (path != last) {
       ++flips;
-      last = d.path;
+      last = path;
     }
   }
   EXPECT_LE(flips, 1);
@@ -342,17 +364,15 @@ TEST(AccessPathTest, CrossoverSelectivityIsMonotone) {
 
 TEST(AccessPathTest, RangeConditionShiftsCrossoverRight) {
   // Range probes are costlier (Figure 17): the scan region must grow.
-  AccessPathQuery topk;
-  topk.left_rows = 10000;
-  topk.right_rows = 1000000;
-  topk.condition = join::JoinCondition::TopK(1);
-  AccessPathQuery range = topk;
+  const join::JoinWorkload topk =
+      IndexedWorkload(10000, 1000000, join::JoinCondition::TopK(1));
+  join::JoinWorkload range = topk;
   range.condition = join::JoinCondition::Threshold(0.9f);
-  CostParams p;
-  auto crossover = [&](AccessPathQuery q) {
+  join::CostParams p;
+  auto crossover = [&](join::JoinWorkload w) {
     for (double sel = 0.0; sel <= 1.0; sel += 0.01) {
-      q.right_selectivity = sel;
-      if (ChooseAccessPath(q, p).path == AccessPath::kProbe) return sel;
+      w.right_selectivity = sel;
+      if (QuoteScanAndProbe(w, p).path() == AccessPath::kProbe) return sel;
     }
     return 2.0;  // Never probes.
   };
@@ -360,13 +380,11 @@ TEST(AccessPathTest, RangeConditionShiftsCrossoverRight) {
 }
 
 TEST(AccessPathTest, DecisionExposesBothCosts) {
-  AccessPathQuery query;
-  query.left_rows = 100;
-  query.right_rows = 10000;
-  query.condition = join::JoinCondition::TopK(1);
-  auto d = ChooseAccessPath(query, CostParams{});
-  EXPECT_GT(d.scan_cost, 0.0);
-  EXPECT_GT(d.probe_cost, 0.0);
+  const ScanProbeQuotes quotes = QuoteScanAndProbe(
+      IndexedWorkload(100, 10000, join::JoinCondition::TopK(1)),
+      join::CostParams{});
+  EXPECT_GT(quotes.scan, 0.0);
+  EXPECT_GT(quotes.probe, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +407,17 @@ class ExecutorJoinTest : public ::testing::Test {
   la::Matrix right_emb_;
 };
 
+// Publishes a caller-owned index over r's hoisted embedding column as an
+// external catalog entry — how plan-layer callers hand indexes to the
+// executor.
+std::shared_ptr<const index::IndexCatalogSnapshot> CatalogWith(
+    const index::VectorIndex* idx) {
+  index::IndexManager manager(index::IndexManager::Options{}, nullptr,
+                              nullptr, la::SimdMode::kAuto);
+  CEJ_CHECK(manager.RegisterExternal("r", "word_emb", idx).ok());
+  return manager.Snapshot();
+}
+
 TEST_F(ExecutorJoinTest, ScanPathTopKProducesKRowsPerLeftTuple) {
   auto plan = Optimize(EJoin(Scan("l", left_table_),
                              Scan("r", right_table_), "word", "word",
@@ -407,10 +436,10 @@ TEST_F(ExecutorJoinTest, ProbePathMatchesScanPath) {
                              Scan("r", right_table_), "word", "word",
                              &model_, join::JoinCondition::TopK(2)));
   ExecContext scan_context;
-  scan_context.force_scan = true;
+  scan_context.force_operator = "tensor";
   ExecContext probe_context;
-  probe_context.indexes["r.word_emb"] = &flat;
-  probe_context.force_probe = true;
+  probe_context.index_catalog = CatalogWith(&flat);
+  probe_context.force_operator = "index";
 
   ExecStats scan_stats, probe_stats;
   auto scan_result = Execute(plan, scan_context, &scan_stats);
@@ -441,8 +470,8 @@ TEST_F(ExecutorJoinTest, ProbePathRespectsRelationalPreFilter) {
   auto plan = Optimize(EJoin(Scan("l", left_table_), filtered_right, "word",
                              "word", &model_, join::JoinCondition::TopK(1)));
   ExecContext context;
-  context.indexes["r.word_emb"] = &flat;
-  context.force_probe = true;
+  context.index_catalog = CatalogWith(&flat);
+  context.force_operator = "index";
   auto result = Execute(plan, context);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Every matched right row satisfies the predicate.
@@ -463,10 +492,10 @@ TEST_F(ExecutorJoinTest, ProbePathWorksWithAnyIndexFamily) {
                              Scan("r", right_table_), "word", "word",
                              &model_, join::JoinCondition::TopK(2)));
   ExecContext scan_context;
-  scan_context.force_scan = true;
+  scan_context.force_operator = "tensor";
   ExecContext probe_context;
-  probe_context.indexes["r.word_emb"] = ivf->get();
-  probe_context.force_probe = true;
+  probe_context.index_catalog = CatalogWith(ivf->get());
+  probe_context.force_operator = "index";
   auto scan_result = Execute(plan, scan_context);
   auto probe_result = Execute(plan, probe_context);
   ASSERT_TRUE(scan_result.ok() && probe_result.ok());
@@ -500,7 +529,7 @@ TEST_F(ExecutorJoinTest, StatsExposeCostEstimates) {
                              Scan("r", right_table_), "word", "word",
                              &model_, join::JoinCondition::TopK(1)));
   ExecContext context;
-  context.indexes["r.word_emb"] = &flat;
+  context.index_catalog = CatalogWith(&flat);
   ExecStats stats;
   ASSERT_TRUE(Execute(plan, context, &stats).ok());
   EXPECT_GT(stats.scan_cost_estimate, 0.0);

@@ -57,75 +57,85 @@ TEST(ServeFusionTest, FusedTopKBatchIsByteIdenticalToSoloExecution) {
   // Eight same-shape top-k queries submitted together must coalesce into
   // at least one batched sweep whose demuxed per-query pairs are
   // byte-identical to each query executed solo through the QueryBuilder.
-  Engine::Options options;
-  options.num_threads = 2;
-  // Solo and fused runs may legitimately pick different exact operators
-  // (the fused left matrix is 8x taller); scalar kernels make their
-  // results bit-identical, so the comparison tests demux, not SIMD.
-  options.simd = la::SimdMode::kForceScalar;
-  options.serve.worker_threads = 1;
-  options.serve.fusion_enabled = true;
-  options.serve.min_fusion_queries = 8;
-  options.serve.fusion_wait = seconds(5);
-  Engine engine(options);
-  model::SubwordHashModel model;
-  const auto corpus_words = workload::RandomStrings(400, 3, 8, 901);
-  ASSERT_TRUE(engine.RegisterTable("corpus", WordsTable(corpus_words)).ok());
-  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+  // Repeated at every pinned shard count of the tensor operator's
+  // right-row schedule: the pairs must not move with the shard count.
+  std::vector<std::vector<join::JoinPair>> reference;
+  for (size_t shard_count : {size_t{0}, size_t{1}, size_t{2}, size_t{7}}) {
+    SCOPED_TRACE("shard_count " + std::to_string(shard_count));
+    Engine::Options options;
+    options.num_threads = 2;
+    options.join_shard_count = shard_count;
+    // Solo and fused runs may legitimately pick different exact operators
+    // (the fused left matrix is 8x taller); scalar kernels make their
+    // results bit-identical, so the comparison tests demux, not SIMD.
+    options.simd = la::SimdMode::kForceScalar;
+    options.serve.worker_threads = 1;
+    options.serve.fusion_enabled = true;
+    options.serve.min_fusion_queries = 8;
+    options.serve.fusion_wait = seconds(5);
+    Engine engine(options);
+    model::SubwordHashModel model;
+    const auto corpus_words = workload::RandomStrings(400, 3, 8, 901);
+    ASSERT_TRUE(engine.RegisterTable("corpus", WordsTable(corpus_words)).ok());
+    ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
 
-  constexpr size_t kQueries = 8;
-  constexpr size_t kProbesPerQuery = 4;
-  std::vector<std::vector<std::string>> probes(kQueries);
-  for (size_t q = 0; q < kQueries; ++q) {
-    probes[q] = workload::RandomStrings(kProbesPerQuery, 3, 8, 1000 + q);
+    constexpr size_t kQueries = 8;
+    constexpr size_t kProbesPerQuery = 4;
+    std::vector<std::vector<std::string>> probes(kQueries);
+    for (size_t q = 0; q < kQueries; ++q) {
+      probes[q] = workload::RandomStrings(kProbesPerQuery, 3, 8, 1000 + q);
+    }
+
+    serve::Server* server = engine.serve();
+    ASSERT_NE(server, nullptr);
+    const auto condition = join::JoinCondition::TopK(3);
+    std::vector<serve::Ticket> tickets;
+    for (size_t q = 0; q < kQueries; ++q) {
+      serve::ServeQuery query;
+      query.table = "corpus";
+      query.column = "word";
+      query.condition = condition;
+      query.probe_strings = probes[q];
+      auto ticket = server->Submit(std::move(query));
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      tickets.push_back(*ticket);
+    }
+
+    // Solo baselines: each probe set as its own registered table, executed
+    // through the ordinary builder path (Stream = sorted base-row pairs).
+    std::vector<std::vector<join::JoinPair>> solo(kQueries);
+    for (size_t q = 0; q < kQueries; ++q) {
+      const std::string name = "probe" + std::to_string(q);
+      ASSERT_TRUE(engine.RegisterTable(name, WordsTable(probes[q])).ok());
+      join::MaterializingSink sink;
+      auto stats = engine.Query(name)
+                       .EJoin("corpus", "word", "word", condition)
+                       .Stream(&sink);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      solo[q] = sink.TakePairs();
+      ASSERT_EQ(solo[q].size(), kProbesPerQuery * condition.k);
+    }
+
+    for (size_t q = 0; q < kQueries; ++q) {
+      const serve::QueryResponse& response = tickets[q].Get();
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_TRUE(response.fused) << "query " << q;
+      EXPECT_GE(response.batch_queries, 2u);
+      EXPECT_EQ(response.exec.fused_queries, response.batch_queries);
+      EXPECT_EQ(response.pairs, solo[q]) << "query " << q;
+    }
+
+    const serve::ServeStats stats = server->stats();
+    EXPECT_GE(stats.batches_formed, 1u);
+    EXPECT_GT(stats.queries_fused, 0u);
+    EXPECT_EQ(stats.completed, kQueries);
+    EXPECT_GT(stats.fusion_ratio, 0.0);
+    EXPECT_GT(stats.p50_latency_seconds, 0.0);
+    EXPECT_GE(stats.p99_latency_seconds, stats.p50_latency_seconds);
+
+    if (reference.empty()) reference = solo;
+    EXPECT_EQ(solo, reference);
   }
-
-  serve::Server* server = engine.serve();
-  ASSERT_NE(server, nullptr);
-  const auto condition = join::JoinCondition::TopK(3);
-  std::vector<serve::Ticket> tickets;
-  for (size_t q = 0; q < kQueries; ++q) {
-    serve::ServeQuery query;
-    query.table = "corpus";
-    query.column = "word";
-    query.condition = condition;
-    query.probe_strings = probes[q];
-    auto ticket = server->Submit(std::move(query));
-    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-    tickets.push_back(*ticket);
-  }
-
-  // Solo baselines: each probe set as its own registered table, executed
-  // through the ordinary builder path (Stream = sorted base-row pairs).
-  std::vector<std::vector<join::JoinPair>> solo(kQueries);
-  for (size_t q = 0; q < kQueries; ++q) {
-    const std::string name = "probe" + std::to_string(q);
-    ASSERT_TRUE(engine.RegisterTable(name, WordsTable(probes[q])).ok());
-    join::MaterializingSink sink;
-    auto stats = engine.Query(name)
-                     .EJoin("corpus", "word", "word", condition)
-                     .Stream(&sink);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    solo[q] = sink.TakePairs();
-    ASSERT_EQ(solo[q].size(), kProbesPerQuery * condition.k);
-  }
-
-  for (size_t q = 0; q < kQueries; ++q) {
-    const serve::QueryResponse& response = tickets[q].Get();
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_TRUE(response.fused) << "query " << q;
-    EXPECT_GE(response.batch_queries, 2u);
-    EXPECT_EQ(response.exec.fused_queries, response.batch_queries);
-    EXPECT_EQ(response.pairs, solo[q]) << "query " << q;
-  }
-
-  const serve::ServeStats stats = server->stats();
-  EXPECT_GE(stats.batches_formed, 1u);
-  EXPECT_GT(stats.queries_fused, 0u);
-  EXPECT_EQ(stats.completed, kQueries);
-  EXPECT_GT(stats.fusion_ratio, 0.0);
-  EXPECT_GT(stats.p50_latency_seconds, 0.0);
-  EXPECT_GE(stats.p99_latency_seconds, stats.p50_latency_seconds);
 }
 
 TEST(ServeFusionTest, FusedThresholdBatchOverVectorColumnMatchesSolo) {

@@ -2,14 +2,15 @@
 // synthetic-timing convergence of the least-squares calibrator, the
 // end-to-end skewed-seed operator flip through the Engine, snapshot
 // isolation of refits against running plans, calibration persistence with
-// corrupt-envelope rejection, cache-aware costing (partial hits priced
-// asymmetrically; warm scans prefer plain tensor over pipelined),
+// corrupt- and old-envelope rejection, cache-aware costing (partial hits
+// priced asymmetrically; warm streams served from the cache),
 // exactness-aware probe traits under RequireExact(), the family-aware
 // auto-build policy, and concurrent adaptive streams (TSan suite).
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -208,7 +209,7 @@ TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromNaiveToTensorWithinEight) {
   ASSERT_TRUE(engine.RegisterTable("r", WordsTable(right_words)).ok());
   ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
 
-  plan::CostParams skewed;  // Default A/C/efficiency, but free embedding.
+  join::CostParams skewed;  // Default A/C/efficiency, but free embedding.
   skewed.model = 0.01;
   engine.set_cost_params(skewed);
 
@@ -343,8 +344,8 @@ TEST(AdaptiveEngineTest, CalibrationSaveLoadRoundTripAndCorruptRejection) {
                     .ok());
   }
   ASSERT_TRUE(engine.Recalibrate().ok());
-  const plan::CostParams trained = *engine.calibrator()->Current();
-  EXPECT_NE(trained.model, plan::CostParams{}.model);
+  const join::CostParams trained = *engine.calibrator()->Current();
+  EXPECT_NE(trained.model, join::CostParams{}.model);
 
   const std::string path = TempPath("cej_calibration.bin");
   ASSERT_TRUE(engine.SaveCalibration(path).ok());
@@ -354,7 +355,7 @@ TEST(AdaptiveEngineTest, CalibrationSaveLoadRoundTripAndCorruptRejection) {
   fresh_options.adaptive_stats = true;
   Engine fresh(fresh_options);
   ASSERT_TRUE(fresh.LoadCalibration(path).ok());
-  const plan::CostParams loaded = *fresh.calibrator()->Current();
+  const join::CostParams loaded = *fresh.calibrator()->Current();
   EXPECT_DOUBLE_EQ(loaded.model, trained.model);
   EXPECT_DOUBLE_EQ(loaded.compute, trained.compute);
   EXPECT_DOUBLE_EQ(loaded.tensor_efficiency, trained.tensor_efficiency);
@@ -397,6 +398,23 @@ TEST(AdaptiveEngineTest, CalibrationSaveLoadRoundTripAndCorruptRejection) {
     std::fclose(f);
   }
   EXPECT_FALSE(fresh.LoadCalibration(flipped).ok());
+  // An envelope of an older layout version is rejected by its version
+  // word.
+  const std::string old_version = TempPath("cej_calibration_v2.bin");
+  {
+    std::vector<unsigned char> v2 = bytes;
+    const uint32_t version = 2;
+    std::memcpy(v2.data() + sizeof(uint32_t), &version, sizeof(version));
+    std::FILE* f = std::fopen(old_version.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(v2.data(), 1, v2.size(), f);
+    std::fclose(f);
+  }
+  const Status old_status = fresh.LoadCalibration(old_version);
+  EXPECT_FALSE(old_status.ok());
+  EXPECT_NE(old_status.message().find("unsupported envelope version 2"),
+            std::string::npos)
+      << old_status.ToString();
   EXPECT_DOUBLE_EQ(fresh.calibrator()->Current()->model, trained.model)
       << "a rejected envelope must not perturb the loaded state";
 }
@@ -427,7 +445,7 @@ TEST(CacheAwareCostingTest, PartialHitsArePricedAsymmetrically) {
   EXPECT_DOUBLE_EQ(cold - both_warm, 1100.0 * params.model);
 }
 
-TEST(CacheAwareCostingTest, WarmCacheStreamPicksPlainTensorOverPipelined) {
+TEST(CacheAwareCostingTest, WarmCacheStreamServesTensorFromTheCache) {
   Engine::Options options;
   options.num_threads = 2;
   Engine engine(options);
@@ -439,22 +457,19 @@ TEST(CacheAwareCostingTest, WarmCacheStreamPicksPlainTensorOverPipelined) {
   ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
   const auto condition = join::JoinCondition::TopK(2);
 
-  // Cold cache: the streaming scan fuses the right string stream and the
-  // pipelined operator's max(embed, sweep) quote wins.
+  // Cold cache: the streaming scan embeds both columns (|R| + |S| model
+  // calls) and fills the cache on the way.
   join::CountingSink cold_sink;
   plan::ExecStats cold_stats;
   ASSERT_TRUE(engine.Query("l")
                   .EJoin("r", "word", condition)
                   .Stream(&cold_sink, &cold_stats)
                   .ok());
-  EXPECT_EQ(cold_stats.join_operator, "pipelined_tensor");
+  EXPECT_EQ(cold_stats.join_operator, "tensor");
+  EXPECT_EQ(cold_stats.model_calls, left_words.size() + right_words.size());
 
-  // Materializing execution warms both columns in the embedding cache.
-  ASSERT_TRUE(engine.Query("l").EJoin("r", "word", condition).Execute().ok());
-
-  // Warm cache: there is no embedding left to hide — fusion is withdrawn,
-  // the model terms drop out of the quotes, and plain `tensor` wins the
-  // unforced scan (ROADMAP "cache-aware costing").
+  // Warm cache: the model terms drop out of the quotes and the same
+  // operator wins the unforced scan (ROADMAP "cache-aware costing").
   join::CountingSink warm_sink;
   plan::ExecStats warm_stats;
   ASSERT_TRUE(engine.Query("l")
@@ -474,7 +489,7 @@ TEST(CacheAwareCostingTest, WarmCacheStreamPicksPlainTensorOverPipelined) {
 TEST(ExactnessTest, RequireExactAdmitsFlatIndexPlansButNotGraphs) {
   la::Matrix left = workload::RandomUnitVectors(4, 8, 341);
   la::Matrix right = workload::RandomUnitVectors(1500, 8, 342);
-  plan::CostParams cheap_probes;
+  join::CostParams cheap_probes;
   cheap_probes.probe_base = 0.0;
   cheap_probes.probe_per_candidate = 0.01;
   const auto condition = join::JoinCondition::TopK(2);
@@ -572,7 +587,7 @@ TEST(FamilyAwareAutoBuildTest, PolicyOverridesTheConfiguredFamily) {
   ASSERT_TRUE(engine.RegisterTable(
                   "db", VectorTable(workload::RandomUnitVectors(500, 8, 352)))
                   .ok());
-  plan::CostParams cheap_probes;
+  join::CostParams cheap_probes;
   cheap_probes.probe_base = 0.0;
   cheap_probes.probe_per_candidate = 1e-9;
   engine.set_cost_params(cheap_probes);
@@ -615,7 +630,7 @@ TEST(FamilyAwareAutoBuildTest, LargeThresholdWorkloadsGetIvf) {
           .RegisterTable(
               "db", VectorTable(workload::RandomUnitVectors(21'000, 4, 362)))
           .ok());
-  plan::CostParams cheap_probes;
+  join::CostParams cheap_probes;
   cheap_probes.probe_base = 0.0;
   cheap_probes.probe_per_candidate = 1e-9;
   engine.set_cost_params(cheap_probes);
@@ -737,7 +752,7 @@ TEST(AdaptiveEngineTest, ExplorationBudgetStopsEngineExploration) {
     CEJ_CHECK(engine.RegisterTable("l", WordsTable(left_words)).ok());
     CEJ_CHECK(engine.RegisterTable("r", WordsTable(right_words)).ok());
     CEJ_CHECK(engine.RegisterModel("subword", &model).ok());
-    plan::CostParams skewed;
+    join::CostParams skewed;
     skewed.model = 0.01;
     engine.set_cost_params(skewed);
     for (int query = 0; query < 5; ++query) {
@@ -757,81 +772,6 @@ TEST(AdaptiveEngineTest, ExplorationBudgetStopsEngineExploration) {
 
   const auto unbounded = run(0.0);
   EXPECT_GE(unbounded.explorations, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined overlap calibration (rho)
-// ---------------------------------------------------------------------------
-
-TEST(CostCalibratorTest, PipelineOverlapIsFitFromOverlappedObservations) {
-  // Calibrate theta on synthetic tensor timings first (the rho fit prices
-  // the serial sweep with the fitted theta, and is gated until the first
-  // refit), then feed a pipelined observation whose overlap is known.
-  join::CostParams truth;
-  truth.access = 2.0;
-  truth.compute = 8.0;
-  truth.tensor_efficiency = 0.12;
-  stats::CostCalibrator::Options options;
-  options.seed = truth;  // Start at truth: the fit converges immediately.
-  options.refit_interval = 0;
-  stats::CostCalibrator calibrator(options);
-
-  // Gate check: an overlapped observation BEFORE any refit must not move
-  // rho off the seed's perfect-overlap assumption.
-  {
-    stats::Observation early;
-    early.op = "pipelined_tensor";
-    early.features.sweep = 1000.0;
-    early.embed_overlapped_ns = 500.0;
-    early.join_phase_ns = 10000.0;  // Terrible overlap, if it counted.
-    calibrator.Record(std::move(early));
-    calibrator.Refit();
-    EXPECT_EQ(calibrator.Current()->pipeline_overlap, 1.0);
-  }
-
-  for (int i = 0; i < 8; ++i) {
-    const join::JoinWorkload w = SyntheticWorkload(16 + i, 400, false);
-    const auto current = calibrator.Current();
-    stats::Observation obs;
-    obs.op = "tensor";
-    obs.features = join::FeaturesForOperator("tensor", w, *current);
-    obs.estimated_ns = join::PriceFeatures(obs.features, *current);
-    obs.measured_ns = join::PriceFeatures(
-        join::FeaturesForOperator("tensor", w, truth), truth);
-    calibrator.Record(std::move(obs));
-  }
-  calibrator.Refit();
-  ASSERT_GT(calibrator.stats().refits, 0u);
-
-  // The synthetic pipelined run: the fitted theta prices its sweep at
-  // s = sweep_feature * theta_S; report embedding e = s fully balanced
-  // and a join phase that hid exactly half the overlappable time.
-  const join::CostParams fitted = *calibrator.Current();
-  const double theta_s =
-      (fitted.access + fitted.compute) * fitted.tensor_efficiency;
-  const double sweep_feature = 1000.0;
-  const double s = sweep_feature * theta_s;
-  stats::Observation overlapped;
-  overlapped.op = "pipelined_tensor";
-  overlapped.features.sweep = sweep_feature;
-  overlapped.embed_overlapped_ns = s;
-  overlapped.join_phase_ns = s + 0.5 * s;  // e + s - hidden, hidden = s/2.
-  calibrator.Record(std::move(overlapped));
-  calibrator.Refit();
-  EXPECT_NEAR(calibrator.Current()->pipeline_overlap, 0.5, 1e-6);
-
-  // The calibrated rho reprices the pipelined quote away from the ideal
-  // max(embed, sweep) toward the un-overlapped sum.
-  join::CostParams ideal = fitted;
-  ideal.pipeline_overlap = 1.0;
-  EXPECT_GT(join::PipelinedTensorJoinCost(100, 1000,
-                                          *calibrator.Current(), false, false),
-            join::PipelinedTensorJoinCost(100, 1000, ideal, false, false));
-
-  // ResetSeed discards the learned overlap with the rest.
-  calibrator.ResetSeed(truth);
-  calibrator.Refit();
-  EXPECT_EQ(calibrator.Current()->pipeline_overlap, 1.0);
 }
 
 // ---------------------------------------------------------------------------
