@@ -2,10 +2,10 @@
 // join, should the engine SCAN (pre-filtered tensor join) or PROBE (HNSW
 // index)? This example calibrates an Engine's cost model on the local
 // machine, shows a real query's registry-based operator selection with
-// both cost estimates, then prints the decision surface over selectivity
-// for the three condition shapes the paper evaluates — the programmatic
-// form of Figures 15-17's crossovers — from the same registry quotes the
-// executor's cost scan compares.
+// its quote and the runner-up it beat, then prints the decision surface
+// over selectivity for the three condition shapes the paper evaluates —
+// the programmatic form of Figures 15-17's crossovers — from the same
+// registry quotes the executor's cost scan compares.
 
 #include <cstdio>
 
@@ -21,9 +21,8 @@ namespace {
 struct ScanProbeQuotes {
   double scan;
   double probe;
-  plan::AccessPath path() const {
-    return scan <= probe ? plan::AccessPath::kScan : plan::AccessPath::kProbe;
-  }
+  // Ties go to the scan.
+  bool probes() const { return probe < scan; }
 };
 
 ScanProbeQuotes Quote(const join::JoinWorkload& workload,
@@ -38,10 +37,7 @@ void PrintDecisionRow(const char* label, join::JoinWorkload workload,
   std::printf("%-22s |", label);
   for (int sel = 0; sel <= 100; sel += 10) {
     workload.right_selectivity = sel / 100.0;
-    std::printf(" %s", Quote(workload, params).path() ==
-                               plan::AccessPath::kScan
-                           ? "S"
-                           : "P");
+    std::printf(" %s", Quote(workload, params).probes() ? "P" : "S");
   }
   std::printf("\n");
 }
@@ -75,7 +71,7 @@ int main() {
               params.access, params.model, params.compute);
 
   // A real (small) instance first: the engine selects the operator from
-  // the registry and reports both access-path estimates in the stats.
+  // the registry and reports its quote and the runner-up's in the stats.
   const size_t dim = 64;
   CEJ_CHECK(engine
                 .RegisterTable("queries", VectorTable(
@@ -97,10 +93,11 @@ int main() {
                     .Execute();
   CEJ_CHECK(result.ok());
   std::printf("real 50 x 5000 top-1 join: engine chose '%s' "
-              "(scan est %.2f ms, probe est %.2f ms)\n\n",
+              "(est %.2f ms; runner-up '%s' est %.2f ms)\n\n",
               result->stats.join_operator.c_str(),
-              result->stats.scan_cost_estimate / 1e6,
-              result->stats.probe_cost_estimate / 1e6);
+              result->stats.estimated_cost_ns / 1e6,
+              result->stats.runner_up_operator.c_str(),
+              result->stats.runner_up_cost_ns / 1e6);
 
   // The decision surface at paper scale, priced without running: the same
   // per-operator EstimateCost the registry scan uses at execution time.
@@ -126,7 +123,7 @@ int main() {
   std::printf("\nat 25%% selectivity, top-1: scan=%.1f ms, probe=%.1f ms "
               "-> %s\n",
               quotes.scan / 1e6, quotes.probe / 1e6,
-              plan::AccessPathName(quotes.path()));
+              quotes.probes() ? "probe" : "scan");
   std::printf("expected shape: the probe region grows with top-1, shrinks "
               "with top-32, and nearly vanishes for range conditions.\n");
   return 0;

@@ -663,14 +663,9 @@ Result<std::string> QueryBuilder::Explain() const {
     }
     if (graph != nullptr && graph->kind == plan::NodeKind::kJoinGraph) {
       plan::ExecContext context = engine_->MakeExecContext();
-      plan::JoinOrderOptions order_options;
-      order_options.cost_params = context.cost_params;
-      order_options.registry = context.operators;
-      order_options.pool_threads =
-          context.pool != nullptr ? context.pool->num_threads() + 1 : 1;
-      order_options.shard_count = context.shard_count;
-      order_options.force_edge_order = force_join_order_;
-      auto order = plan::EnumerateJoinOrder(graph, std::move(order_options));
+      context.force_join_order = force_join_order_;
+      auto order =
+          plan::EnumerateJoinOrder(graph, plan::JoinOrderOptionsFor(context));
       if (order.ok()) out += plan::MemoToString(graph, *order);
     }
   }

@@ -265,20 +265,24 @@ class IndexJoinOperator : public JoinOperator {
 
 }  // namespace
 
+bool SupportsCondition(const JoinOperatorTraits& traits,
+                       const JoinCondition& condition) {
+  return condition.kind == JoinCondition::Kind::kTopK
+             ? traits.supports_topk
+             : traits.supports_threshold;
+}
+
 Status JoinOperator::ValidateInputs(const JoinInputs& inputs,
                                     const JoinCondition& condition) const {
   CEJ_RETURN_IF_ERROR(ValidateJoinCondition(condition));
   const JoinOperatorTraits traits = Traits();
   const std::string name(Name());
-  if (condition.kind == JoinCondition::Kind::kTopK && !traits.supports_topk) {
+  if (!SupportsCondition(traits, condition)) {
     return Status::Unimplemented(
-        name + ": top-k conditions unsupported; run plan::Optimize (or use "
-               "a prefetched operator) to enable top-k");
-  }
-  if (condition.kind == JoinCondition::Kind::kThreshold &&
-      !traits.supports_threshold) {
-    return Status::Unimplemented(name +
-                                 ": threshold conditions unsupported");
+        condition.kind == JoinCondition::Kind::kTopK
+            ? name + ": top-k conditions unsupported; run plan::Optimize (or "
+                     "use a prefetched operator) to enable top-k"
+            : name + ": threshold conditions unsupported");
   }
   if (traits.needs_strings && !HasStrings(inputs)) {
     return Status::InvalidArgument(

@@ -71,6 +71,11 @@ struct JoinOperatorTraits {
   bool supports_topk = true;
 };
 
+/// True when an operator with `traits` can evaluate `condition`'s kind —
+/// the one eligibility rule the planners and ValidateInputs share.
+bool SupportsCondition(const JoinOperatorTraits& traits,
+                       const JoinCondition& condition);
+
 /// A physical implementation of the E-join.
 class JoinOperator {
  public:

@@ -10,14 +10,9 @@
 #include "cej/common/macros.h"
 #include "cej/common/timer.h"
 #include "cej/join/sweep_kernel.h"
-#include "cej/plan/join_order.h"
 #include "cej/stats/cost_calibrator.h"
 
 namespace cej::plan {
-
-const char* AccessPathName(AccessPath path) {
-  return path == AccessPath::kScan ? "scan" : "probe";
-}
 
 namespace {
 
@@ -66,6 +61,47 @@ ProbePattern MatchProbePattern(const NodePtr& node,
   p.matches = true;
   return p;
 }
+
+// The cost scan's verdict: the operator to run, its quote, the rejected
+// runner-up, and whether calibration exploration (not price) chose it.
+struct Selection {
+  const JoinOperator* op = nullptr;
+  double cost = std::numeric_limits<double>::infinity();
+  std::string runner_up;
+  double runner_up_cost = std::numeric_limits<double>::infinity();
+  bool explored = false;
+
+  // The cheapest quote the scan saw — what the auto-build loss check
+  // compares a hypothetical index plan against (the chosen quote unless
+  // exploration overrode the price ranking).
+  double best_quote() const { return explored ? runner_up_cost : cost; }
+};
+
+// The physical join chosen for one EJoin (Section VI.E): the operator and
+// the workload it was priced on, plus everything running it needs.
+struct ChosenJoin {
+  Selection selection;
+  join::JoinWorkload workload;  // As priced.
+  // The cost scope the observation's measured window covers.
+  join::JoinWorkload observed;
+  // String keys run in the context domain (strings + model).
+  bool string_domain = false;
+  ProbePattern pattern;
+  const index::IndexCatalogEntry* catalog_entry = nullptr;
+  index::FilterBitmap bitmap;
+  // Base-table row ids surviving the pushed-down Select, evaluated at most
+  // ONCE (for the probe bitmap) and reused by the scan side.
+  std::optional<std::vector<uint32_t>> selected_rows;
+  // The right input relation; set by the chooser when pricing needed it
+  // (string keys, arbitrary subtrees), else by the scan-side preparation.
+  std::optional<Relation> right;
+
+  const JoinOperator* op() const { return selection.op; }
+  const index::VectorIndex* index() const {
+    return catalog_entry != nullptr ? catalog_entry->index.get() : nullptr;
+  }
+  bool probes() const { return !string_domain && op()->Traits().needs_index; }
+};
 
 // Assembles the EJoin output relation from matched pairs.
 Result<Relation> MaterializeJoinOutput(const Schema& output_schema,
@@ -211,29 +247,32 @@ class PlanExecutor {
 
   // Streaming entry point: the final join feeds `sink` directly. A
   // JoinGraph root lowers to its chosen order first; the stream carries
-  // the LAST executed edge's pairs.
-  Result<JoinStats> RunToSink(const NodePtr& node, join::JoinSink* sink) {
+  // the LAST executed edge's pairs. `left_rows`, when set, is the row count
+  // the final join's left input must have (a fused batch's stacked probes).
+  Result<JoinStats> RunToSink(const NodePtr& node, join::JoinSink* sink,
+                              std::optional<size_t> left_rows = {}) {
+    NodePtr ejoin = node;
     if (node->kind == NodeKind::kJoinGraph) {
       CEJ_ASSIGN_OR_RETURN(JoinOrderPlan plan, EnumerateGraph(node));
-      return RunEJoinIntoSink(plan.root, sink, /*materialize_sides=*/false,
-                              /*sides=*/nullptr);
-    }
-    if (node->kind != NodeKind::kEJoin) {
+      ejoin = plan.root;
+    } else if (node->kind != NodeKind::kEJoin) {
       return Status::InvalidArgument(
           "ExecuteToSink: plan root must be an EJoin or a JoinGraph");
     }
-    return RunEJoinIntoSink(node, sink, /*materialize_sides=*/false,
-                            /*sides=*/nullptr);
+    CEJ_ASSIGN_OR_RETURN(Relation left, Run(ejoin->left));
+    if (left_rows.has_value() && left.num_rows() != *left_rows) {
+      return Status::InvalidArgument(
+          "ExecuteToDemuxSinks: slices cover " + std::to_string(*left_rows) +
+          " left rows but the join's left input has " +
+          std::to_string(left.num_rows()));
+    }
+    CEJ_ASSIGN_OR_RETURN(const Column* left_key,
+                         left.ColumnByName(ejoin->left_key));
+    CEJ_ASSIGN_OR_RETURN(ChosenJoin chosen, ChooseJoin(ejoin, *left_key));
+    return RunChosen(ejoin, &chosen, *left_key, sink);
   }
 
  private:
-  // The join's two input relations, for output materialization. Pair ids
-  // emitted by the operator address these relations' rows.
-  struct JoinedSides {
-    Relation left;
-    Relation right;
-  };
-
   // Embeds `input`'s embed-input column per `embed`, serving from — and
   // populating — the engine embedding cache when `base_table` names the
   // base table the rows came from. `base_rows` are the base-table row ids
@@ -337,28 +376,27 @@ class PlanExecutor {
     return ApplyEmbed(input, *node, "", nullptr);
   }
 
+  // Materialized EJoin: choose, run into a MaterializingSink, then gather
+  // the output rows from both inputs. Pair ids address `left` and the
+  // chosen join's right relation.
   Result<Relation> RunEJoin(const NodePtr& node) {
     CEJ_ASSIGN_OR_RETURN(Schema output_schema, OutputSchema(node));
+    CEJ_ASSIGN_OR_RETURN(Relation left, Run(node->left));
+    CEJ_ASSIGN_OR_RETURN(const Column* left_key,
+                         left.ColumnByName(node->left_key));
+    CEJ_ASSIGN_OR_RETURN(ChosenJoin chosen, ChooseJoin(node, *left_key));
     join::MaterializingSink sink;
-    JoinedSides sides;
-    CEJ_RETURN_IF_ERROR(
-        RunEJoinIntoSink(node, &sink, /*materialize_sides=*/true, &sides)
-            .status());
-    return MaterializeJoinOutput(output_schema, sides.left, sides.right,
-                                 sink.pairs());
+    CEJ_RETURN_IF_ERROR(RunChosen(node, &chosen, *left_key, &sink).status());
+    CEJ_ASSIGN_OR_RETURN(Relation right, RightRelation(&chosen));
+    return MaterializeJoinOutput(output_schema, left, right, sink.pairs());
   }
 
   // Orders the graph's edges (DP unless forced/pinned), publishes the
   // decision into ExecStats, and returns the lowered binary tree.
   Result<JoinOrderPlan> EnumerateGraph(const NodePtr& node) {
-    JoinOrderOptions options;
-    options.cost_params = context_.cost_params;
-    options.registry = &registry_;
-    options.pool_threads = join::PoolWorkers(context_.pool);
-    options.shard_count = context_.shard_count;
-    options.force_edge_order = context_.force_join_order;
-    CEJ_ASSIGN_OR_RETURN(JoinOrderPlan plan,
-                         EnumerateJoinOrder(node, std::move(options)));
+    CEJ_ASSIGN_OR_RETURN(
+        JoinOrderPlan plan,
+        EnumerateJoinOrder(node, JoinOrderOptionsFor(context_)));
     if (stats_ != nullptr) {
       stats_->join_edge_order = plan.edge_order;
       switch (plan.source) {
@@ -389,390 +427,303 @@ class PlanExecutor {
                             plan.canonical_projection);
   }
 
-  // Selects the physical operator via the registry, runs the join into
-  // `sink`, and (optionally) materializes both input-side relations for
-  // output assembly.
-  Result<JoinStats> RunEJoinIntoSink(const NodePtr& node,
-                                     join::JoinSink* sink,
-                                     bool materialize_sides,
-                                     JoinedSides* sides) {
-    CEJ_ASSIGN_OR_RETURN(Relation left, Run(node->left));
-    CEJ_ASSIGN_OR_RETURN(const Column* left_key,
-                         left.ColumnByName(node->left_key));
-
-    // Graph-lowered joins count their emitted pairs: the edge's observed
-    // cardinality, recorded against the enumerator's estimate.
-    EdgeCountingSink counting(sink);
-    EdgeCountingSink* edge_counter =
-        node->graph_edge >= 0 ? &counting : nullptr;
-    join::JoinSink* effective_sink =
-        edge_counter != nullptr ? &counting : sink;
-
-    Result<JoinStats> run =
-        left_key->type() == DataType::kString
-            ? RunStringKeyJoin(node, *left_key, effective_sink,
-                               materialize_sides, sides, edge_counter)
-            : RunVectorKeyJoin(node, left, *left_key, effective_sink,
-                               materialize_sides, sides, edge_counter);
-    if (run.ok()) {
-      if (materialize_sides) sides->left = std::move(left);
-      if (stats_ != nullptr) {
-        stats_->model_calls += run->model_calls;
-        stats_->join_stats += *run;
-        // Mirror of the merged operator counter (single source of truth).
-        stats_->index_probe_rows = stats_->join_stats.index_probe_rows;
-        if (edge_counter != nullptr) {
-          const size_t edge = static_cast<size_t>(node->graph_edge);
-          if (stats_->edge_card_est.size() <= edge) {
-            stats_->edge_card_est.resize(edge + 1, 0.0);
-            stats_->edge_card_obs.resize(edge + 1, 0);
-          }
-          stats_->edge_card_est[edge] = node->estimated_rows;
-          stats_->edge_card_obs[edge] = edge_counter->count();
-        }
-      }
-    }
-    return run;
-  }
-
-  // String-key join: the un-rewritten (naive) physical form, unless an
-  // operator override redirects it — or an adaptive calibrator is
-  // attached, in which case the registry cost scan competes every
+  // Access-path selection for one EJoin: prices the eligible operators on
+  // the join's workload and returns the winner with what running it needs.
+  //
+  // String key (an un-rewritten plan): `force_operator`, else — with an
+  // adaptive calibrator attached — the registry scan over every
   // string-capable operator (naive natively; the prefetched family embeds
-  // on demand) and the run is recorded as an observation. Without a
-  // calibrator the naive NLJ stays hard-wired, deliberately: un-optimized
-  // plans keep behaving like Figure 8's baseline.
-  Result<JoinStats> RunStringKeyJoin(const NodePtr& node,
-                                     const Column& left_key,
-                                     join::JoinSink* sink,
-                                     bool materialize_sides,
-                                     JoinedSides* sides,
-                                     const EdgeCountingSink* edge_counter) {
-    CEJ_ASSIGN_OR_RETURN(Relation right, Run(node->right));
-    CEJ_ASSIGN_OR_RETURN(const Column* right_key,
-                         right.ColumnByName(node->right_key));
-    if (right_key->type() != DataType::kString) {
-      return Status::InvalidArgument("EJoin: right key is not a string");
-    }
-    JoinInputs inputs;
-    inputs.left_strings = &left_key.string_values();
-    inputs.right_strings = &right_key->string_values();
-    inputs.model = node->model;
-
-    const bool adaptive = context_.calibrator != nullptr &&
-                          node->model != nullptr && node->model->dim() > 0;
-    Selection selection;
-    if (adaptive) {
-      join::JoinWorkload workload;
-      workload.left_rows = left_key.string_values().size();
-      workload.right_rows = right.num_rows();
-      workload.dim = node->model->dim();
-      workload.condition = node->condition;
-      workload.pool_threads = join::PoolWorkers(context_.pool);
-      workload.shard_count = context_.shard_count;
-      workload.fused_queries = fused_queries_;
-      CEJ_ASSIGN_OR_RETURN(
-          selection,
-          SelectOperator(workload, /*have_index=*/false,
-                         /*string_domain=*/true));
-      if (stats_ != nullptr) {
-        stats_->join_operator = std::string(selection.op->Name());
-      }
-      CEJ_ASSIGN_OR_RETURN(JoinStats run_stats,
-                           selection.op->Run(inputs, node->condition,
-                                             BaseOptions(), sink));
-      RecordJoinObservation(
-          selection.op, workload, selection,
-          run_stats.embed_seconds + run_stats.join_seconds, run_stats,
-          *node, edge_counter);
-      if (materialize_sides) sides->right = std::move(right);
-      return run_stats;
-    }
-
-    const std::string op_name = context_.force_operator.empty()
-                                    ? "naive_nlj"
-                                    : context_.force_operator;
-    CEJ_ASSIGN_OR_RETURN(const JoinOperator* op, registry_.Find(op_name));
-    if (stats_ != nullptr) stats_->join_operator = std::string(op->Name());
-    CEJ_ASSIGN_OR_RETURN(JoinStats run_stats,
-                         op->Run(inputs, node->condition, BaseOptions(),
-                                 sink));
-    if (materialize_sides) sides->right = std::move(right);
-    return run_stats;
-  }
-
-  // Vector-key join: registry-wide access-path selection.
-  Result<JoinStats> RunVectorKeyJoin(const NodePtr& node,
-                                     const Relation& left,
-                                     const Column& left_key,
-                                     join::JoinSink* sink,
-                                     bool materialize_sides,
-                                     JoinedSides* sides,
-                                     const EdgeCountingSink* edge_counter) {
-    if (left_key.type() != DataType::kVector) {
-      return Status::InvalidArgument("EJoin: left key is not a vector");
-    }
-    // Index discovery over the probe-eligible right-subtree patterns in
-    // the catalog snapshot (shared_ptr-pinned for the whole query — a
-    // concurrent ReplaceTable cannot free a probed index).
-    const ProbePattern pattern =
-        MatchProbePattern(node->right, node->right_key);
-    const index::VectorIndex* idx = nullptr;
-    const index::IndexCatalogEntry* catalog_entry = nullptr;
-    if (pattern.matches && context_.index_catalog != nullptr) {
-      catalog_entry = context_.index_catalog->Find(
-          pattern.scan->table_name,
-          pattern.embed != nullptr ? pattern.embed->output_column
-                                   : node->right_key,
-          pattern.embed != nullptr ? pattern.embed->model : nullptr);
-      if (catalog_entry != nullptr) idx = catalog_entry->index.get();
-      if (stats_ != nullptr) {
-        if (catalog_entry != nullptr) {
-          ++stats_->index_catalog_hits;
-        } else {
-          ++stats_->index_catalog_misses;
-        }
-      }
-    }
-
-    // Expected embedding-cache state (cache-aware costing): a warm full
-    // column will be served with zero model calls, so its side's model
-    // term must not be priced — asymmetrically per side (a warm left and
-    // cold right still pays |S| * M).
-    const bool right_embed_cached = PeekColumnWarm(pattern);
-    const ProbePattern left_pattern =
-        MatchProbePattern(node->left, node->left_key);
-    const bool left_embed_cached =
-        left_pattern.embed != nullptr &&
-        left_pattern.embed->output_column == node->left_key &&
-        PeekColumnWarm(left_pattern);
-
-    index::FilterBitmap bitmap;
-    double right_selectivity = 1.0;
-    size_t base_rows = 0;
-    std::optional<Relation> right_prematerialized;
-    // Base-table row ids surviving the pushed-down Select, evaluated at
-    // most ONCE and reused by whichever path runs (probe bitmap or
-    // scan-side materialization).
-    std::optional<std::vector<uint32_t>> selected_rows;
-    if (pattern.matches) {
-      const Relation& base = *pattern.scan->relation;
-      base_rows = base.num_rows();
-      if (idx != nullptr) {
-        if (idx->size() != base_rows) {
-          return Status::InvalidArgument(
-              "EJoin: registered index size does not match base table '" +
-              pattern.scan->table_name + "'");
-        }
-        bitmap.assign(base_rows, 1);
-      }
-      // The predicate is evaluated up front only when probe pre-filtering
-      // needs the row set before materialization (bitmap + selectivity
-      // steering scan-vs-probe). Otherwise it would scale every eligible
-      // (scan-family) operator identically, so the Select is applied
-      // once, downstream.
-      if (pattern.select != nullptr && idx != nullptr) {
-        CEJ_RETURN_IF_ERROR(
-            pattern.select->predicate->Validate(base.schema()));
-        std::vector<uint32_t> rows;
-        pattern.select->predicate->Eval(base, &rows);
-        if (idx != nullptr) {
-          std::fill(bitmap.begin(), bitmap.end(), 0);
-          for (uint32_t r : rows) bitmap[r] = 1;
-        }
-        right_selectivity = base_rows == 0
-                                ? 0.0
-                                : static_cast<double>(rows.size()) /
-                                      static_cast<double>(base_rows);
-        selected_rows = std::move(rows);
-      }
-    } else {
-      // Arbitrary right subtree: no probe possibility; materialize it now
-      // so the scan-family operators can be priced on the true size.
-      CEJ_ASSIGN_OR_RETURN(Relation materialized, Run(node->right));
-      base_rows = materialized.num_rows();
-      right_prematerialized = std::move(materialized);
-    }
-
-    join::JoinWorkload workload;
-    workload.left_rows = left.num_rows();
-    workload.right_rows = base_rows;
-    workload.dim = left_key.vector_dim();
-    workload.right_selectivity = right_selectivity;
+  // on demand), else the naive NLJ, deliberately: un-optimized plans keep
+  // behaving like Figure 8's baseline. Both sides' model terms fall inside
+  // the measured window.
+  //
+  // Vector key: the index operator is eligible when the right subtree is a
+  // probe pattern the catalog holds an index for; the scan family competes
+  // otherwise. The left side always arrives embedded; the right side is
+  // embedded inside the measured window only by a cold Embed pipeline on
+  // the scan path.
+  Result<ChosenJoin> ChooseJoin(const NodePtr& node, const Column& left_key) {
+    ChosenJoin chosen;
+    join::JoinWorkload& workload = chosen.workload;
+    workload.left_rows = left_key.size();
     workload.condition = node->condition;
-    workload.index_available = idx != nullptr;
-    // Exactness-aware probe traits: a served FLAT catalog entry is exact
-    // despite the index operator's conservative trait — RequireExact()
-    // scans may admit it. External registrations stay opaque (unknown
-    // family), hence conservatively approximate.
-    workload.index_exact =
-        catalog_entry != nullptr &&
-        catalog_entry->family == index::IndexFamily::kFlat;
-    // Chained (graph-lowered) joins: an intermediate side carries its
-    // embedding column zero-copy from the join that built it — no model
-    // term — but its materialization gather was not free.
-    workload.left_intermediate = node->left->kind == NodeKind::kEJoin;
-    workload.right_intermediate = node->right->kind == NodeKind::kEJoin;
-    workload.left_embed_cached =
-        left_embed_cached || workload.left_intermediate;
-    workload.right_embed_cached =
-        right_embed_cached || workload.right_intermediate;
     // Caller-runs pool: the calling thread works alongside the workers.
     workload.pool_threads = join::PoolWorkers(context_.pool);
     workload.shard_count = context_.shard_count;
     workload.fused_queries = fused_queries_;
 
-    CEJ_ASSIGN_OR_RETURN(
-        Selection selection,
-        SelectOperator(workload, idx != nullptr, /*string_domain=*/false));
-    const JoinOperator* op = selection.op;
+    if (left_key.type() == DataType::kString) {
+      chosen.string_domain = true;
+      CEJ_ASSIGN_OR_RETURN(chosen.right, Run(node->right));
+      workload.right_rows = chosen.right->num_rows();
+      workload.dim = node->model != nullptr ? node->model->dim() : 0;
+      chosen.observed = workload;
+      if (context_.force_operator.empty() &&
+          (context_.calibrator == nullptr || workload.dim == 0)) {
+        CEJ_ASSIGN_OR_RETURN(chosen.selection.op,
+                             registry_.Find("naive_nlj"));
+        return chosen;
+      }
+      CEJ_ASSIGN_OR_RETURN(chosen.selection,
+                           SelectOperator(workload, /*string_domain=*/true));
+      return chosen;
+    }
+    if (left_key.type() != DataType::kVector) {
+      return Status::InvalidArgument("EJoin: left key is not a vector");
+    }
+
+    chosen.pattern = MatchProbePattern(node->right, node->right_key);
+    CEJ_RETURN_IF_ERROR(FindProbeIndex(node, &chosen));
+    if (chosen.pattern.matches) {
+      workload.right_rows = chosen.pattern.scan->relation->num_rows();
+    } else {
+      // Arbitrary right subtree: no probe possibility; materialize it now
+      // so the scan-family operators can be priced on the true size.
+      CEJ_ASSIGN_OR_RETURN(chosen.right, Run(node->right));
+      workload.right_rows = chosen.right->num_rows();
+    }
+    workload.dim = left_key.vector_dim();
+    workload.index_available = chosen.index() != nullptr;
+    // Exactness-aware probe traits: a served FLAT catalog entry is exact
+    // despite the index operator's conservative trait — RequireExact()
+    // scans may admit it. External registrations stay opaque (unknown
+    // family), hence conservatively approximate.
+    workload.index_exact =
+        chosen.catalog_entry != nullptr &&
+        chosen.catalog_entry->family == index::IndexFamily::kFlat;
+    // Chained (graph-lowered) joins: an intermediate side carries its
+    // embedding column zero-copy from the join that built it — no model
+    // term — but its materialization gather was not free.
+    workload.left_intermediate = node->left->kind == NodeKind::kEJoin;
+    workload.right_intermediate = node->right->kind == NodeKind::kEJoin;
+    // Expected embedding-cache state (cache-aware costing): a warm full
+    // column will be served with zero model calls, so its side's model
+    // term must not be priced — asymmetrically per side (a warm left and
+    // cold right still pays |S| * M).
+    const ProbePattern left_pattern =
+        MatchProbePattern(node->left, node->left_key);
+    workload.left_embed_cached =
+        workload.left_intermediate ||
+        (left_pattern.embed != nullptr &&
+         left_pattern.embed->output_column == node->left_key &&
+         PeekColumnWarm(left_pattern));
+    workload.right_embed_cached =
+        workload.right_intermediate || PeekColumnWarm(chosen.pattern);
+
+    CEJ_ASSIGN_OR_RETURN(chosen.selection,
+                         SelectOperator(workload, /*string_domain=*/false));
+    chosen.observed = workload;
+    chosen.observed.left_embed_cached = true;
+    // Probes never embed the right side; stored-vector and
+    // pre-materialized right sides never pay model calls inside the
+    // measured window either — only a cold-cache Embed pipeline does.
+    if (chosen.probes() || chosen.pattern.embed == nullptr) {
+      chosen.observed.right_embed_cached = true;
+    }
+    ReportIndexLoss(node, chosen);
+    return chosen;
+  }
+
+  // Index discovery over the probe-eligible right-subtree patterns in the
+  // catalog snapshot (shared_ptr-pinned for the whole query — a concurrent
+  // ReplaceTable cannot free a probed index). With an index in hand, the
+  // pushed-down Select is evaluated up front: probe pre-filtering needs the
+  // row set as a bitmap, and its selectivity steers scan-vs-probe.
+  // Otherwise it would scale every eligible (scan-family) operator
+  // identically, so the Select is applied once, downstream.
+  Status FindProbeIndex(const NodePtr& node, ChosenJoin* chosen) {
+    const ProbePattern& pattern = chosen->pattern;
+    if (!pattern.matches || context_.index_catalog == nullptr) {
+      return Status::OK();
+    }
+    chosen->catalog_entry = context_.index_catalog->Find(
+        pattern.scan->table_name,
+        pattern.embed != nullptr ? pattern.embed->output_column
+                                 : node->right_key,
+        pattern.embed != nullptr ? pattern.embed->model : nullptr);
     if (stats_ != nullptr) {
-      stats_->join_operator = std::string(op->Name());
-      stats_->join_access_path = op->Traits().needs_index
-                                     ? AccessPath::kProbe
-                                     : AccessPath::kScan;
+      if (chosen->catalog_entry != nullptr) {
+        ++stats_->index_catalog_hits;
+      } else {
+        ++stats_->index_catalog_misses;
+      }
     }
+    const index::VectorIndex* idx = chosen->index();
+    if (idx == nullptr) return Status::OK();
+    const Relation& base = *pattern.scan->relation;
+    const size_t base_rows = base.num_rows();
+    if (idx->size() != base_rows) {
+      return Status::InvalidArgument(
+          "EJoin: registered index size does not match base table '" +
+          pattern.scan->table_name + "'");
+    }
+    chosen->bitmap.assign(base_rows, 1);
+    if (pattern.select == nullptr) return Status::OK();
+    CEJ_RETURN_IF_ERROR(pattern.select->predicate->Validate(base.schema()));
+    std::vector<uint32_t> rows;
+    pattern.select->predicate->Eval(base, &rows);
+    std::fill(chosen->bitmap.begin(), chosen->bitmap.end(), 0);
+    for (uint32_t r : rows) chosen->bitmap[r] = 1;
+    chosen->workload.right_selectivity =
+        base_rows == 0 ? 0.0
+                       : static_cast<double>(rows.size()) /
+                             static_cast<double>(base_rows);
+    chosen->selected_rows = std::move(rows);
+    return Status::OK();
+  }
 
-    // The cost scope the observation's measured time will cover: the left
-    // side always arrives embedded in the vector domain (its model term
-    // was paid before pricing), and the right side pays model calls inside
-    // the measured window only when the executor (scan path, cold cache)
-    // embeds it there.
-    join::JoinWorkload observed = workload;
-    observed.left_embed_cached = true;
+  // Auto-build feedback: an unforced cost scan ran index-less on a
+  // probe-eligible shape — if an index WOULD have priced cheaper than the
+  // winner, record the loss so the manager can build one in the background
+  // (require_exact scans are skipped: the approximate index operator could
+  // never have won them).
+  void ReportIndexLoss(const NodePtr& node, const ChosenJoin& chosen) {
+    const ProbePattern& pattern = chosen.pattern;
+    if (!pattern.matches || chosen.index() != nullptr ||
+        context_.index_manager == nullptr ||
+        context_.index_catalog == nullptr ||
+        !context_.force_operator.empty() || context_.require_exact) {
+      return;
+    }
+    auto index_op = registry_.Find("index");
+    if (!index_op.ok()) return;
+    join::JoinWorkload hypothetical = chosen.workload;
+    hypothetical.index_available = true;
+    if ((*index_op)->EstimateCost(hypothetical, context_.cost_params) >=
+        chosen.selection.best_quote()) {
+      return;
+    }
+    // The snapshot's generation pairs with the plan's relation snapshot: if
+    // the table is replaced before (or while) the auto-build runs, the
+    // build is discarded at publish instead of covering the old contents.
+    // The workload shape rides along so the family-aware policy can pick
+    // flat/IVF/HNSW from what the losing queries actually looked like.
+    index::IndexLossContext loss_context;
+    loss_context.left_rows = chosen.workload.left_rows;
+    loss_context.table_rows = chosen.workload.right_rows;
+    loss_context.topk =
+        chosen.workload.condition.kind == join::JoinCondition::Kind::kTopK;
+    context_.index_manager->RecordIndexLoss(
+        pattern.scan->table_name, pattern.scan->relation,
+        pattern.embed != nullptr ? pattern.embed->input_column
+                                 : node->right_key,
+        pattern.embed != nullptr ? pattern.embed->model : nullptr,
+        context_.index_catalog->TableGeneration(pattern.scan->table_name),
+        loss_context);
+  }
 
-    // Auto-build feedback: an unforced cost scan ran index-less on a
-    // probe-eligible shape — if an index WOULD have priced cheaper than
-    // the winner, record the loss so the manager can build one in the
-    // background (require_exact scans are skipped: the approximate index
-    // operator could never have won them).
-    if (pattern.matches && idx == nullptr &&
-        context_.index_manager != nullptr &&
-        context_.index_catalog != nullptr &&
-        context_.force_operator.empty() && !context_.require_exact) {
-      auto index_op = registry_.Find("index");
-      if (index_op.ok()) {
-        join::JoinWorkload hypothetical = workload;
-        hypothetical.index_available = true;
-        const double index_cost =
-            (*index_op)->EstimateCost(hypothetical, context_.cost_params);
-        if (index_cost < selection.best_quote()) {
-          // The snapshot's generation pairs with the plan's relation
-          // snapshot: if the table is replaced before (or while) the
-          // auto-build runs, the build is discarded at publish instead
-          // of covering the old contents. The workload shape rides along
-          // so the family-aware policy can pick flat/IVF/HNSW from what
-          // the losing queries actually looked like.
-          index::IndexLossContext loss_context;
-          loss_context.left_rows = workload.left_rows;
-          loss_context.table_rows = base_rows;
-          loss_context.topk =
-              workload.condition.kind == join::JoinCondition::Kind::kTopK;
-          context_.index_manager->RecordIndexLoss(
-              pattern.scan->table_name, pattern.scan->relation,
-              pattern.embed != nullptr ? pattern.embed->input_column
-                                       : node->right_key,
-              pattern.embed != nullptr ? pattern.embed->model : nullptr,
-              context_.index_catalog->TableGeneration(
-                  pattern.scan->table_name),
-              loss_context);
+  // Runs the chosen join into `sink`, timing the right-side preparation
+  // and the operator run as the observation's measured window, and folds
+  // the run into ExecStats (graph-lowered joins also record their edge's
+  // observed cardinality against the enumerator's estimate).
+  Result<JoinStats> RunChosen(const NodePtr& node, ChosenJoin* chosen,
+                              const Column& left_key, join::JoinSink* sink) {
+    const JoinOperator* op = chosen->op();
+    if (stats_ != nullptr) stats_->join_operator = std::string(op->Name());
+    EdgeCountingSink counting(sink);
+    const bool graph_edge = node->graph_edge >= 0;
+
+    // The right-side preparation (predicate Take, cache gather, or a full
+    // embedding on a cold cache, which fills the cache) is part of the
+    // cost the quote priced, so it belongs to the measured window.
+    WallTimer timer;
+    JoinInputs inputs;
+    CEJ_RETURN_IF_ERROR(PrepareInputs(node, left_key, chosen, &inputs));
+    const double prep_seconds = timer.ElapsedSeconds();
+    CEJ_ASSIGN_OR_RETURN(
+        JoinStats run,
+        op->Run(inputs, node->condition, BaseOptions(),
+                graph_edge ? &counting : sink));
+    RecordJoinObservation(*chosen,
+                          prep_seconds + run.embed_seconds + run.join_seconds,
+                          run, *node, counting.count());
+    if (stats_ != nullptr) {
+      stats_->model_calls += run.model_calls;
+      stats_->join_stats += run;
+      if (graph_edge) {
+        const size_t edge = static_cast<size_t>(node->graph_edge);
+        if (stats_->edge_card_est.size() <= edge) {
+          stats_->edge_card_est.resize(edge + 1, 0.0);
+          stats_->edge_card_obs.resize(edge + 1, 0);
         }
+        stats_->edge_card_est[edge] = node->estimated_rows;
+        stats_->edge_card_obs[edge] = counting.count();
       }
     }
+    return run;
+  }
 
-    if (op->Traits().needs_index) {
-      if (stats_ != nullptr && catalog_entry != nullptr) {
-        stats_->index_build_seconds += catalog_entry->build_seconds;
+  // The one right-side preparation. A probe reads the catalog index under
+  // the pre-filter bitmap. Every other operator consumes the right
+  // relation: the chooser's when it already holds one, else the
+  // pushed-down Select's row set when the probe bitmap already evaluated
+  // it, else the subtree's output.
+  Status PrepareInputs(const NodePtr& node, const Column& left_key,
+                       ChosenJoin* chosen, JoinInputs* inputs) {
+    if (chosen->probes()) {
+      if (stats_ != nullptr && chosen->catalog_entry != nullptr) {
+        stats_->index_build_seconds += chosen->catalog_entry->build_seconds;
       }
-      JoinInputs inputs;
-      inputs.left_vectors = &left_key.vector_values();
-      inputs.right_index = idx;
-      inputs.right_filter = &bitmap;
-      CEJ_ASSIGN_OR_RETURN(JoinStats run_stats,
-                           op->Run(inputs, node->condition, BaseOptions(),
-                                   sink));
-      // Probes never embed the right side.
-      observed.right_embed_cached = true;
-      RecordJoinObservation(
-          op, observed, selection,
-          run_stats.embed_seconds + run_stats.join_seconds, run_stats,
-          *node, edge_counter);
-      // Probe ids address base-table rows; materialize the right side as
-      // base relation (+ embedding column for rewritten plans) so the
-      // output schema matches the scan path's.
-      if (materialize_sides) {
-        CEJ_ASSIGN_OR_RETURN(sides->right, RightBaseRelation(pattern));
-      }
-      return run_stats;
+      inputs->left_vectors = &left_key.vector_values();
+      inputs->right_index = chosen->index();
+      inputs->right_filter = &chosen->bitmap;
+      return Status::OK();
     }
-
-    // Scan path: the right-side preparation below (predicate Take, cache
-    // gather, or a full embedding on a cold cache — which fills the cache)
-    // is part of the cost the quote priced, so it belongs to the measured
-    // window.
-    WallTimer right_prep_timer;
-    Relation right;
-    if (right_prematerialized.has_value()) {
-      right = std::move(*right_prematerialized);
-    } else if (pattern.matches && selected_rows.has_value()) {
-      // The pushed-down predicate was already evaluated for the probe
-      // bitmap: feed that row set straight into the scan-side
-      // materialization instead of letting Run(node->right) re-evaluate it.
+    const ProbePattern& pattern = chosen->pattern;
+    if (chosen->selected_rows.has_value()) {
       const Relation filtered =
-          pattern.scan->relation->Take(*selected_rows);
+          pattern.scan->relation->Take(*chosen->selected_rows);
       if (pattern.embed != nullptr) {
         CEJ_ASSIGN_OR_RETURN(
-            right, ApplyEmbed(filtered, *pattern.embed,
-                              pattern.scan->table_name, &*selected_rows));
+            chosen->right,
+            ApplyEmbed(filtered, *pattern.embed, pattern.scan->table_name,
+                       &*chosen->selected_rows));
       } else {
-        right = filtered;
+        chosen->right = filtered;
       }
-    } else {
-      CEJ_ASSIGN_OR_RETURN(right, Run(node->right));
+    } else if (!chosen->right.has_value()) {
+      CEJ_ASSIGN_OR_RETURN(chosen->right, Run(node->right));
     }
-    const double right_prep_seconds = right_prep_timer.ElapsedSeconds();
     CEJ_ASSIGN_OR_RETURN(const Column* right_key,
-                         right.ColumnByName(node->right_key));
+                         chosen->right->ColumnByName(node->right_key));
+    if (chosen->string_domain) {
+      if (right_key->type() != DataType::kString) {
+        return Status::InvalidArgument("EJoin: right key is not a string");
+      }
+      inputs->left_strings = &left_key.string_values();
+      inputs->right_strings = &right_key->string_values();
+      inputs->model = node->model;
+      return Status::OK();
+    }
     if (right_key->type() != DataType::kVector) {
       return Status::InvalidArgument("EJoin: right key is not a vector");
     }
-    JoinInputs inputs;
-    inputs.left_vectors = &left_key.vector_values();
-    inputs.right_vectors = &right_key->vector_values();
-    CEJ_ASSIGN_OR_RETURN(
-        JoinStats run_stats,
-        op->Run(inputs, node->condition, BaseOptions(), sink));
-    // Stored-vector and pre-materialized right sides never pay model calls
-    // inside the measured window — only a cold-cache Embed pipeline does.
-    if (pattern.embed == nullptr) observed.right_embed_cached = true;
-    RecordJoinObservation(op, observed, selection,
-                          right_prep_seconds + run_stats.embed_seconds +
-                              run_stats.join_seconds,
-                          run_stats, *node, edge_counter);
-    if (materialize_sides) sides->right = std::move(right);
-    return run_stats;
+    inputs->left_vectors = &left_key.vector_values();
+    inputs->right_vectors = &right_key->vector_values();
+    return Status::OK();
   }
 
-  // The cost scan's verdict: the operator to run, its quote, the rejected
-  // runner-up, and whether calibration exploration (not price) chose it.
-  struct Selection {
-    const JoinOperator* op = nullptr;
-    double cost = std::numeric_limits<double>::infinity();
-    std::string runner_up;
-    double runner_up_cost = std::numeric_limits<double>::infinity();
-    bool explored = false;
-
-    // The cheapest quote the scan saw — what the auto-build loss check
-    // compares a hypothetical index plan against (the chosen quote unless
-    // exploration overrode the price ranking).
-    double best_quote() const { return explored ? runner_up_cost : cost; }
-  };
+  // The relation the chosen join's right pair ids address, for output
+  // materialization: probe ids are base-table positions, so a probe
+  // materializes the base relation (+ the Embed output column for
+  // rewritten plans, no Select) to match the scan path's output schema.
+  // Only the materializing caller asks, so a streamed probe never embeds
+  // the right base table; with an embedding cache configured the embedding
+  // costs no model calls once warm.
+  Result<Relation> RightRelation(ChosenJoin* chosen) {
+    if (!chosen->probes()) return std::move(*chosen->right);
+    const ProbePattern& pattern = chosen->pattern;
+    const Relation& base = *pattern.scan->relation;
+    if (pattern.embed == nullptr) return base;
+    return ApplyEmbed(base, *pattern.embed, pattern.scan->table_name,
+                      nullptr);
+  }
 
   // Registry-wide pricing: every eligible operator quotes a cost, the
-  // cheapest runs. The force_operator override bypasses pricing but not eligibility checks at Run() time; the returned
-  // quote stays +infinity on overrides. `string_domain` scans the
-  // string-capable operator set (adaptive string-key joins) instead of the
-  // vector-domain set.
+  // cheapest runs. The force_operator override bypasses pricing (its
+  // quote stays +infinity) but not the operator's own input checks at
+  // Run() time. `string_domain` scans the string-capable operator set
+  // (adaptive string-key joins) instead of the vector-domain set.
   //
   // Exploration (calibrated scans only): an eligible EXACT operator that
   // has never produced an observation is chosen once — earliest
@@ -782,22 +733,7 @@ class PlanExecutor {
   // never be repriced: the chosen operator's own observations cannot
   // correct a rival's distinct coefficients.
   Result<Selection> SelectOperator(const join::JoinWorkload& workload,
-                                   bool have_index, bool string_domain) {
-    // Legacy-diagnostic costs: the two canonical access paths, exposed in
-    // ExecStats regardless of which operator wins.
-    if (stats_ != nullptr && !string_domain) {
-      auto scan_op = registry_.Find("tensor");
-      auto probe_op = registry_.Find("index");
-      if (scan_op.ok()) {
-        stats_->scan_cost_estimate =
-            (*scan_op)->EstimateCost(workload, context_.cost_params);
-      }
-      if (probe_op.ok()) {
-        stats_->probe_cost_estimate =
-            (*probe_op)->EstimateCost(workload, context_.cost_params);
-      }
-    }
-
+                                   bool string_domain) {
     Selection selection;
     if (!context_.force_operator.empty()) {
       CEJ_ASSIGN_OR_RETURN(selection.op,
@@ -819,7 +755,7 @@ class PlanExecutor {
         if (traits.needs_index) continue;
       } else {
         if (traits.needs_strings) continue;  // Vector domain here.
-        if (traits.needs_index && !have_index) continue;
+        if (traits.needs_index && !workload.index_available) continue;
       }
       // Exactness-aware probe traits: the index operator's static trait is
       // conservatively approximate, but a served FLAT entry is exact —
@@ -827,15 +763,7 @@ class PlanExecutor {
       const bool exact =
           traits.exact || (traits.needs_index && workload.index_exact);
       if (context_.require_exact && !exact) continue;
-      if (workload.condition.kind == join::JoinCondition::Kind::kTopK &&
-          !traits.supports_topk) {
-        continue;
-      }
-      if (workload.condition.kind ==
-              join::JoinCondition::Kind::kThreshold &&
-          !traits.supports_threshold) {
-        continue;
-      }
+      if (!join::SupportsCondition(traits, workload.condition)) continue;
       eligible.push_back(
           {op, op->EstimateCost(workload, context_.cost_params), exact});
     }
@@ -890,17 +818,16 @@ class PlanExecutor {
   }
 
   // Feeds the adaptive calibrator — and the estimated-vs-actual ExecStats
-  // fields — after a join ran. `workload` must describe the cost scope
-  // `measured_seconds` covers: in the vector domain the left side always
-  // arrives embedded (its model term was paid before pricing), so callers
-  // pass left_embed_cached = true there.
-  void RecordJoinObservation(const JoinOperator* op,
-                             const join::JoinWorkload& workload,
-                             const Selection& selection,
+  // fields — after a join ran. `measured_seconds` covers the cost scope
+  // `chosen.observed` describes; `edge_rows` are the pairs a graph-lowered
+  // join emitted.
+  void RecordJoinObservation(const ChosenJoin& chosen,
                              double measured_seconds,
                              const JoinStats& run_stats,
-                             const LogicalNode& node,
-                             const EdgeCountingSink* edge_counter) {
+                             const LogicalNode& node, uint64_t edge_rows) {
+    const JoinOperator* op = chosen.op();
+    const Selection& selection = chosen.selection;
+    const join::JoinWorkload& workload = chosen.observed;
     const double measured_ns = measured_seconds * 1e9;
     const double estimated_ns =
         op->EstimateCost(workload, context_.cost_params);
@@ -923,17 +850,9 @@ class PlanExecutor {
       stats_->estimated_cost_ns =
           std::isfinite(estimated_ns) ? estimated_ns : 0.0;
       stats_->measured_cost_ns = measured_ns;
-      stats_->cost_abs_log_error =
-          comparable ? std::fabs(std::log(estimated_ns / measured_ns)) : 0.0;
       stats_->runner_up_operator = selection.runner_up;
       stats_->runner_up_cost_ns = runner_up_ns;
       stats_->explored_operator = selection.explored;
-      // The same overrun the calibrator charges against the exploration
-      // budget: what this explored run cost over the displaced best quote.
-      stats_->exploration_overhead_ns =
-          selection.explored && runner_up_ns > 0.0
-              ? std::max(0.0, measured_ns - runner_up_ns)
-              : 0.0;
     }
     if (context_.calibrator == nullptr || !comparable) return;
     stats::Observation obs;
@@ -960,13 +879,11 @@ class PlanExecutor {
     obs.fused_queries = workload.fused_queries;
     // Graph-lowered joins: one observation per EDGE, carrying the
     // estimated-vs-observed cardinality pair for the learned-cardinality
-    // feed. The counter reads complete here — the operator's Run has
-    // already returned when observations are recorded.
+    // feed.
     obs.graph_edge = node.graph_edge;
     if (node.graph_edge >= 0) {
       obs.edge_card_est = node.estimated_rows;
-      obs.edge_card_obs =
-          edge_counter != nullptr ? edge_counter->count() : 0;
+      obs.edge_card_obs = edge_rows;
     }
     context_.calibrator->Record(std::move(obs));
   }
@@ -990,18 +907,6 @@ class PlanExecutor {
            warm->cols() == pattern.embed->model->dim();
   }
 
-  // Materializes the probe path's right side: the base relation, plus the
-  // Embed output column for rewritten plans (no Select: probe ids are
-  // base-table positions). The recomputation this used to cost |S| model
-  // calls per query is now absorbed by the embedding cache when one is
-  // configured.
-  Result<Relation> RightBaseRelation(const ProbePattern& pattern) {
-    const Relation& base = *pattern.scan->relation;
-    if (pattern.embed == nullptr) return base;
-    return ApplyEmbed(base, *pattern.embed, pattern.scan->table_name,
-                      nullptr);
-  }
-
   join::JoinOptions BaseOptions() const {
     join::JoinOptions options;
     options.pool = context_.pool;
@@ -1019,6 +924,16 @@ class PlanExecutor {
 };
 
 }  // namespace
+
+JoinOrderOptions JoinOrderOptionsFor(const ExecContext& context) {
+  JoinOrderOptions options;
+  options.cost_params = context.cost_params;
+  options.registry = context.operators;
+  options.pool_threads = join::PoolWorkers(context.pool);
+  options.shard_count = context.shard_count;
+  options.force_edge_order = context.force_join_order;
+  return options;
+}
 
 Result<Relation> Execute(const NodePtr& plan, const ExecContext& context,
                          ExecStats* stats) {
@@ -1059,7 +974,7 @@ Result<join::JoinStats> ExecuteToDemuxSinks(
   if (stats != nullptr) stats->fused_queries = slices.size();
   DemuxSink demux(slices);
   PlanExecutor executor(context, stats, slices.size());
-  return executor.RunToSink(plan, &demux);
+  return executor.RunToSink(plan, &demux, slices.back().end);
 }
 
 }  // namespace cej::plan

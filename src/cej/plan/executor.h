@@ -1,20 +1,23 @@
 // Physical planning and execution of logical plans.
 //
-// The executor materializes bottom-up. For EJoin it performs access-path
-// selection (Section VI.E) as a *registry scan*: every physical operator
-// registered in join::JoinOperatorRegistry that can serve the workload
-// (declared via its traits — string-domain, vector-domain, or index-backed)
-// prices itself through JoinOperator::EstimateCost, and the cheapest
-// eligible one runs. New operators (async, remote) participate in
-// planning by registering — no executor changes.
+// The executor materializes bottom-up. Each EJoin is planned and run in
+// two steps. The first is access-path selection (Section VI.E) as a
+// *registry scan*: every physical operator registered in
+// join::JoinOperatorRegistry that can serve the workload (declared via its
+// traits — string-domain, vector-domain, or index-backed) prices itself
+// through JoinOperator::EstimateCost, and the cheapest eligible one is
+// chosen. The second runs the chosen operator once. New operators (async,
+// remote) participate in planning by registering — no executor changes.
 //
 // When the right subtree is an Embed([Select(]Scan[)]) pipeline — or a
 // bare [Select(]Scan[)] over a stored vector column — and the index
 // catalog holds a vector index for that table/column, the index operator
 // becomes eligible (pre-filtered probes); otherwise the scan-family
-// operators compete. String-key joins (un-rewritten plans) execute the
-// naive NLJ — deliberately, so un-optimized plans behave like Figure 8's
-// baseline. Run plan::Optimize first for production behaviour.
+// operators compete. String-key joins (un-rewritten plans) run the naive
+// NLJ, so un-optimized plans behave like Figure 8's baseline — unless
+// `force_operator` names another operator, or an adaptive calibrator is
+// attached, in which case the string-capable operators compete on price.
+// Run plan::Optimize first for production behaviour.
 
 #ifndef CEJ_PLAN_EXECUTOR_H_
 #define CEJ_PLAN_EXECUTOR_H_
@@ -29,6 +32,7 @@
 #include "cej/join/join_cost.h"
 #include "cej/join/join_operator.h"
 #include "cej/join/join_sink.h"
+#include "cej/plan/join_order.h"
 #include "cej/plan/logical_plan.h"
 
 namespace cej {
@@ -40,15 +44,6 @@ class CostCalibrator;
 }
 
 namespace cej::plan {
-
-/// The physical access path the vector side of an E-join took (paper
-/// Section VI.E): which operator family ran it.
-enum class AccessPath {
-  kScan,   ///< Scan-family operator over the (pre-filtered) right side.
-  kProbe,  ///< Per-tuple probes into a vector index.
-};
-
-const char* AccessPathName(AccessPath path);
 
 /// Execution environment.
 struct ExecContext {
@@ -109,13 +104,12 @@ struct ExecContext {
 
 /// Post-execution diagnostics.
 struct ExecStats {
-  AccessPath join_access_path = AccessPath::kScan;
   /// Name of the physical operator that ran the plan's last EJoin —
   /// string-key (naive) or vector-key alike; empty when the plan had no
   /// EJoin at all. Multi-join plans report only the last join executed.
+  /// The vector side of a join took the probe access path exactly when
+  /// this is "index".
   std::string join_operator;
-  double scan_cost_estimate = 0.0;
-  double probe_cost_estimate = 0.0;
   uint64_t model_calls = 0;
   /// Embedding-cache lookups made while executing this plan (counted only
   /// when an EmbeddingCache is configured). A hit means a whole-column
@@ -133,17 +127,13 @@ struct ExecStats {
   /// probe paths ran against — the amortized cost side of the probe
   /// decision (0 when no managed index served the plan).
   double index_build_seconds = 0.0;
-  /// Left rows actually probed by index operators across the plan.
-  uint64_t index_probe_rows = 0;
   /// Estimated-vs-actual accounting for the plan's last EJoin: the chosen
-  /// operator's quote (cost-model units — nanoseconds once calibrated),
+  /// operator's quote (cost-model units — nanoseconds once calibrated) and
   /// the nanoseconds it actually took (right-side preparation + operator
-  /// run), and the misprediction |ln(estimated / measured)| (0 until both
-  /// sides are known). Feeds — and is the per-query view of — the
-  /// adaptive calibrator's error history.
+  /// run). Feeds — and is the per-query view of — the adaptive
+  /// calibrator's error history.
   double estimated_cost_ns = 0.0;
   double measured_cost_ns = 0.0;
-  double cost_abs_log_error = 0.0;
   /// The second-cheapest eligible operator the cost scan rejected for the
   /// last EJoin ("" when fewer than two were eligible), and its quote.
   std::string runner_up_operator;
@@ -151,11 +141,6 @@ struct ExecStats {
   /// True when the last EJoin's operator was chosen by calibration
   /// exploration (first timing for an unobserved operator), not price.
   bool explored_operator = false;
-  /// Nanoseconds the last EJoin's exploration cost over the price-ranked
-  /// quote it displaced (0 when the join was not explored, or exploration
-  /// turned out cheaper). The calibrator accumulates these against
-  /// Engine::Options::stats_explore_budget_ns.
-  double exploration_overhead_ns = 0.0;
   /// Client queries the serving layer stacked into this plan's probe batch
   /// (ExecuteToDemuxSinks; 1 = an ordinary solo plan).
   size_t fused_queries = 1;
@@ -170,7 +155,8 @@ struct ExecStats {
   /// (nodes tagged with graph_edge >= 0).
   std::vector<double> edge_card_est;
   std::vector<uint64_t> edge_card_obs;
-  /// Merged operator counters across every join in the plan.
+  /// Merged operator counters across every join in the plan (e.g.
+  /// `join_stats.index_probe_rows`: left rows probed by index operators).
   join::JoinStats join_stats;
 };
 
@@ -211,14 +197,21 @@ struct ProbeSlice {
 /// catalog/cache snapshot, one sweep over the taller left matrix — and
 /// every emitted pair is routed to the slice covering its left row, with
 /// the left id re-based to the slice (pair.left - slice.begin). Slices
-/// must be non-empty, contiguous from 0, and ascending; each slice's sink
-/// observes the standard JoinSink contract (its Finish() runs when the
-/// batch finishes). Early termination propagates to the operator only
-/// when EVERY slice has requested it. With a single slice covering all
-/// left rows this is exactly ExecuteToSink.
+/// must be non-empty, contiguous from 0, ascending, and together cover the
+/// final join's left input exactly (InvalidArgument otherwise, before the
+/// operator runs); each slice's sink observes the standard JoinSink
+/// contract (its Finish() runs when the batch finishes). Early
+/// termination propagates to the operator only when EVERY slice has
+/// requested it. With a single slice covering all left rows this is
+/// exactly ExecuteToSink.
 Result<join::JoinStats> ExecuteToDemuxSinks(
     const NodePtr& plan, const ExecContext& context,
     const std::vector<ProbeSlice>& slices, ExecStats* stats = nullptr);
+
+/// The join-order enumeration options an executor running with `context`
+/// uses for a kJoinGraph: its pricing snapshot, registry, pool width,
+/// shard count and forced order. Explain() renders the same enumeration.
+JoinOrderOptions JoinOrderOptionsFor(const ExecContext& context);
 
 }  // namespace cej::plan
 

@@ -123,14 +123,7 @@ JoinQuote PriceJoin(const GraphContext& ctx, const JoinOrderOptions& options,
   for (const join::JoinOperator* op : registry.operators()) {
     const join::JoinOperatorTraits traits = op->Traits();
     if (traits.needs_strings || traits.needs_index) continue;
-    if (workload.condition.kind == join::JoinCondition::Kind::kTopK &&
-        !traits.supports_topk) {
-      continue;
-    }
-    if (workload.condition.kind == join::JoinCondition::Kind::kThreshold &&
-        !traits.supports_threshold) {
-      continue;
-    }
+    if (!join::SupportsCondition(traits, workload.condition)) continue;
     const double cost = op->EstimateCost(workload, options.cost_params);
     if (cost < best.cost) {
       best.cost = cost;

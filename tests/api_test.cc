@@ -227,7 +227,6 @@ TEST_F(EngineCrossValidationTest, ExactIndexMatchesScanExactly) {
                    .Execute();
   ASSERT_TRUE(scan.ok() && probe.ok());
   EXPECT_EQ(probe->stats.join_operator, "index");
-  EXPECT_EQ(probe->stats.join_access_path, plan::AccessPath::kProbe);
   EXPECT_EQ(RenderPairs(probe->relation), RenderPairs(scan->relation));
 }
 
@@ -354,7 +353,6 @@ TEST(EngineShardedSelectionTest, LargeWideJoinShardsTheTensorByCost) {
                  .Stream(&chosen_sink, &stats);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(stats.join_operator, "tensor");
-  EXPECT_EQ(stats.join_access_path, plan::AccessPath::kScan);
   EXPECT_GE(stats.join_stats.shards_used, 2u);
   ASSERT_TRUE(serial.Query("l")
                   .EJoin("r", "emb", condition)
@@ -526,7 +524,6 @@ TEST(EngineVectorTest, RequireExactExcludesApproximateOperators) {
                    .Execute();
   ASSERT_TRUE(exact.ok());
   EXPECT_NE(exact->stats.join_operator, "index");
-  EXPECT_EQ(exact->stats.join_access_path, plan::AccessPath::kScan);
 }
 
 // ---------------------------------------------------------------------------

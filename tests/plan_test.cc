@@ -287,14 +287,12 @@ TEST(CostModelTest, CalibrationProducesPositiveParams) {
 // ---------------------------------------------------------------------------
 
 // Scan vs probe as the executor's cost scan compares them: the registry's
-// "tensor" and "index" quotes for one workload at pool_threads = 1 (ties go
-// to the scan).
+// "tensor" and "index" quotes for one workload at pool_threads = 1; the
+// winner's name (ties go to the scan).
 struct ScanProbeQuotes {
   double scan;
   double probe;
-  AccessPath path() const {
-    return scan <= probe ? AccessPath::kScan : AccessPath::kProbe;
-  }
+  std::string op() const { return scan <= probe ? "tensor" : "index"; }
 };
 
 ScanProbeQuotes QuoteScanAndProbe(const join::JoinWorkload& workload,
@@ -318,8 +316,7 @@ join::JoinWorkload IndexedWorkload(size_t left_rows, size_t right_rows,
 TEST(AccessPathTest, NoIndexMeansScan) {
   join::JoinWorkload w = IndexedWorkload(100, 100000, join::JoinCondition{});
   w.index_available = false;
-  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).path(),
-            AccessPath::kScan);
+  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).op(), "tensor");
 }
 
 TEST(AccessPathTest, LowSelectivityFavoursScan) {
@@ -328,8 +325,7 @@ TEST(AccessPathTest, LowSelectivityFavoursScan) {
   join::JoinWorkload w =
       IndexedWorkload(10000, 1000000, join::JoinCondition::TopK(1));
   w.right_selectivity = 0.001;
-  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).path(),
-            AccessPath::kScan);
+  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).op(), "tensor");
 }
 
 TEST(AccessPathTest, HighSelectivityTopK1FavoursProbe) {
@@ -338,8 +334,7 @@ TEST(AccessPathTest, HighSelectivityTopK1FavoursProbe) {
   join::JoinWorkload w =
       IndexedWorkload(10000, 1000000, join::JoinCondition::TopK(1));
   w.right_selectivity = 1.0;
-  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).path(),
-            AccessPath::kProbe);
+  EXPECT_EQ(QuoteScanAndProbe(w, join::CostParams{}).op(), "index");
 }
 
 TEST(AccessPathTest, CrossoverSelectivityIsMonotone) {
@@ -349,17 +344,17 @@ TEST(AccessPathTest, CrossoverSelectivityIsMonotone) {
       IndexedWorkload(10000, 1000000, join::JoinCondition::TopK(1));
   join::CostParams p;
   int flips = 0;
-  AccessPath last = AccessPath::kScan;
+  std::string last = "tensor";
   for (double sel = 0.0; sel <= 1.0; sel += 0.01) {
     w.right_selectivity = sel;
-    const AccessPath path = QuoteScanAndProbe(w, p).path();
-    if (path != last) {
+    const std::string op = QuoteScanAndProbe(w, p).op();
+    if (op != last) {
       ++flips;
-      last = path;
+      last = op;
     }
   }
   EXPECT_LE(flips, 1);
-  EXPECT_EQ(last, AccessPath::kProbe);
+  EXPECT_EQ(last, "index");
 }
 
 TEST(AccessPathTest, RangeConditionShiftsCrossoverRight) {
@@ -372,7 +367,7 @@ TEST(AccessPathTest, RangeConditionShiftsCrossoverRight) {
   auto crossover = [&](join::JoinWorkload w) {
     for (double sel = 0.0; sel <= 1.0; sel += 0.01) {
       w.right_selectivity = sel;
-      if (QuoteScanAndProbe(w, p).path() == AccessPath::kProbe) return sel;
+      if (QuoteScanAndProbe(w, p).op() == "index") return sel;
     }
     return 2.0;  // Never probes.
   };
@@ -407,14 +402,14 @@ class ExecutorJoinTest : public ::testing::Test {
   la::Matrix right_emb_;
 };
 
-// Publishes a caller-owned index over r's hoisted embedding column as an
-// external catalog entry — how plan-layer callers hand indexes to the
-// executor.
+// Publishes a caller-owned index over r's `column` (by default its hoisted
+// embedding column) as an external catalog entry — how plan-layer callers
+// hand indexes to the executor.
 std::shared_ptr<const index::IndexCatalogSnapshot> CatalogWith(
-    const index::VectorIndex* idx) {
+    const index::VectorIndex* idx, const std::string& column = "word_emb") {
   index::IndexManager manager(index::IndexManager::Options{}, nullptr,
                               nullptr, la::SimdMode::kAuto);
-  CEJ_CHECK(manager.RegisterExternal("r", "word_emb", idx).ok());
+  CEJ_CHECK(manager.RegisterExternal("r", column, idx).ok());
   return manager.Snapshot();
 }
 
@@ -427,7 +422,7 @@ TEST_F(ExecutorJoinTest, ScanPathTopKProducesKRowsPerLeftTuple) {
   auto result = Execute(plan, context, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_rows(), 15u * 3u);
-  EXPECT_EQ(stats.join_access_path, AccessPath::kScan);
+  EXPECT_EQ(stats.join_operator, "tensor");
 }
 
 TEST_F(ExecutorJoinTest, ProbePathMatchesScanPath) {
@@ -445,8 +440,8 @@ TEST_F(ExecutorJoinTest, ProbePathMatchesScanPath) {
   auto scan_result = Execute(plan, scan_context, &scan_stats);
   auto probe_result = Execute(plan, probe_context, &probe_stats);
   ASSERT_TRUE(scan_result.ok() && probe_result.ok());
-  EXPECT_EQ(scan_stats.join_access_path, AccessPath::kScan);
-  EXPECT_EQ(probe_stats.join_access_path, AccessPath::kProbe);
+  EXPECT_EQ(scan_stats.join_operator, "tensor");
+  EXPECT_EQ(probe_stats.join_operator, "index");
   ASSERT_EQ(scan_result->num_rows(), probe_result->num_rows());
 
   auto render = [](const Relation& rel) {
@@ -532,8 +527,169 @@ TEST_F(ExecutorJoinTest, StatsExposeCostEstimates) {
   context.index_catalog = CatalogWith(&flat);
   ExecStats stats;
   ASSERT_TRUE(Execute(plan, context, &stats).ok());
-  EXPECT_GT(stats.scan_cost_estimate, 0.0);
-  EXPECT_GT(stats.probe_cost_estimate, 0.0);
+  EXPECT_GT(stats.estimated_cost_ns, 0.0);
+  EXPECT_GT(stats.measured_cost_ns, 0.0);
+}
+
+// `table` plus a stored "emb" vector column holding `words`' embeddings.
+std::shared_ptr<const Relation> WithEmbeddings(
+    const std::shared_ptr<const Relation>& table, const la::Matrix& emb) {
+  auto rel = table->WithColumn(
+      storage::Field{"emb", DataType::kVector, emb.cols()},
+      Column::Vector(emb.Clone()));
+  CEJ_CHECK(rel.ok());
+  return std::make_shared<const Relation>(std::move(rel).value());
+}
+
+// One EJoin run both ways: materialized by Execute, and streamed by
+// ExecuteToSink with the pair ids resolved through the relations they
+// address.
+struct BothWays {
+  ExecStats execute_stats, stream_stats;
+  std::vector<std::string> executed, streamed;  // Sorted "lw|rw|sim".
+};
+
+BothWays RunBothWays(const NodePtr& plan, const ExecContext& context,
+                     const Relation& stream_right) {
+  BothWays out;
+  auto executed = Execute(plan, context, &out.execute_stats);
+  CEJ_CHECK(executed.ok());
+  auto left = Execute(plan->left, context);
+  CEJ_CHECK(left.ok());
+  const size_t left_word = left->schema().FieldIndex("word").value();
+  const size_t right_word =
+      left->num_columns() + stream_right.schema().FieldIndex("word").value();
+  auto render = [](const std::string& l, const std::string& r, double sim) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", sim);
+    return l + "|" + r + "|" + buf;
+  };
+  // The join's own similarity is the last column (a right subtree's keeps
+  // the name "similarity").
+  const auto& sims =
+      executed->column(executed->num_columns() - 1).double_values();
+  for (size_t i = 0; i < executed->num_rows(); ++i) {
+    out.executed.push_back(
+        render(executed->column(left_word).string_values()[i],
+               executed->column(right_word).string_values()[i], sims[i]));
+  }
+  join::MaterializingSink sink;
+  CEJ_CHECK(ExecuteToSink(plan, context, &sink, &out.stream_stats).ok());
+  const auto& lw = left->column(left_word).string_values();
+  const auto& rw = stream_right.ColumnByName("word").value()->string_values();
+  for (const join::JoinPair& p : sink.pairs()) {
+    out.streamed.push_back(render(lw[p.left], rw[p.right],
+                                  static_cast<double>(p.similarity)));
+  }
+  std::sort(out.executed.begin(), out.executed.end());
+  std::sort(out.streamed.begin(), out.streamed.end());
+  return out;
+}
+
+TEST_F(ExecutorJoinTest, ExecuteAndStreamAgreeOnEveryRightSideShape) {
+  const la::Matrix left_emb = model_.EmbedBatch(left_words_);
+  const auto left_vec = WithEmbeddings(left_table_, left_emb);
+  const auto right_vec = WithEmbeddings(right_table_, right_emb_);
+  const auto when_lt_30 = expr::Cmp("when", expr::CmpOp::kLt, int64_t{30});
+  index::FlatIndex flat(right_emb_.Clone());
+
+  struct Shape {
+    std::string name;
+    NodePtr plan;
+    std::string op;
+    ExecContext context;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"un-optimized string key",
+                    EJoin(Scan("l", left_table_), Scan("r", right_table_),
+                          "word", "word", &model_,
+                          join::JoinCondition::Threshold(0.3f)),
+                    "naive_nlj",
+                    {}});
+  shapes.push_back({"stored-vector scan",
+                    EJoin(Scan("l", left_vec), Scan("r", right_vec), "emb",
+                          "emb", nullptr, join::JoinCondition::TopK(2)),
+                    "tensor",
+                    {}});
+  shapes.push_back(
+      {"embed pipeline under a select",
+       Optimize(EJoin(Scan("l", left_table_),
+                      Select(Scan("r", right_table_), when_lt_30), "word",
+                      "word", &model_, join::JoinCondition::TopK(2))),
+       "tensor",
+       {}});
+  shapes.push_back({"catalog-indexed probe with a select",
+                    EJoin(Scan("l", left_vec),
+                          Select(Scan("r", right_vec), when_lt_30), "emb",
+                          "emb", nullptr, join::JoinCondition::TopK(2)),
+                    "index",
+                    {}});
+  shapes.back().context.index_catalog = CatalogWith(&flat, "emb");
+  shapes.back().context.force_operator = "index";
+  shapes.push_back(
+      {"ejoin as the right subtree",
+       EJoin(Scan("l", left_vec),
+             EJoin(Scan("r", right_vec), Scan("l2", left_vec), "emb", "emb",
+                   nullptr, join::JoinCondition::TopK(1)),
+             "emb", "emb", nullptr, join::JoinCondition::TopK(2)),
+       "tensor",
+       {}});
+
+  for (const Shape& shape : shapes) {
+    // Probe ids address base-table rows; every other path's ids address
+    // the right subtree's output.
+    std::shared_ptr<const Relation> stream_right = right_vec;
+    if (shape.op != "index") {
+      auto right = Execute(shape.plan->right, shape.context);
+      ASSERT_TRUE(right.ok()) << shape.name;
+      stream_right = std::make_shared<const Relation>(std::move(*right));
+    }
+    const BothWays run = RunBothWays(shape.plan, shape.context, *stream_right);
+    EXPECT_EQ(run.execute_stats.join_operator, shape.op) << shape.name;
+    EXPECT_EQ(run.stream_stats.join_operator, shape.op) << shape.name;
+    EXPECT_FALSE(run.executed.empty()) << shape.name;
+    EXPECT_EQ(run.executed, run.streamed) << shape.name;
+    EXPECT_EQ(run.execute_stats.model_calls, run.stream_stats.model_calls)
+        << shape.name;
+  }
+}
+
+TEST_F(ExecutorJoinTest, StreamedProbeNeverEmbedsTheRightBaseTable) {
+  index::FlatIndex flat(right_emb_.Clone());
+  auto plan = Optimize(EJoin(
+      Scan("l", left_table_),
+      Select(Scan("r", right_table_),
+             expr::Cmp("when", expr::CmpOp::kLt, int64_t{30})),
+      "word", "word", &model_, join::JoinCondition::TopK(2)));
+  ExecContext context;
+  context.index_catalog = CatalogWith(&flat);
+  context.force_operator = "index";
+  const BothWays run = RunBothWays(plan, context, *right_table_);
+  EXPECT_EQ(run.stream_stats.join_operator, "index");
+  EXPECT_EQ(run.executed, run.streamed);
+  // The stream embeds the left side only; materializing the output also
+  // embeds the right base table the probe ids address.
+  EXPECT_EQ(run.stream_stats.model_calls, left_words_.size());
+  EXPECT_EQ(run.execute_stats.model_calls,
+            left_words_.size() + right_words_.size());
+}
+
+TEST_F(ExecutorJoinTest, DemuxSlicesMustCoverTheLeftInput) {
+  auto plan = Optimize(EJoin(Scan("l", left_table_),
+                             Scan("r", right_table_), "word", "word",
+                             &model_, join::JoinCondition::TopK(2)));
+  ExecContext context;
+  join::MaterializingSink first, second;
+  auto short_batch = ExecuteToDemuxSinks(plan, context, {{0, 5, &first}});
+  EXPECT_EQ(short_batch.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(first.pairs().empty());
+
+  auto covered = ExecuteToDemuxSinks(
+      plan, context, {{0, 5, &first}, {5, left_words_.size(), &second}});
+  ASSERT_TRUE(covered.ok()) << covered.status().ToString();
+  EXPECT_EQ(first.pairs().size(), 5u * 2u);
+  EXPECT_EQ(second.pairs().size(), (left_words_.size() - 5) * 2u);
+  for (const join::JoinPair& p : first.pairs()) EXPECT_LT(p.left, 5u);
 }
 
 TEST(ExecutorTest, SelectExecutesPredicates) {

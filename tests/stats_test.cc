@@ -514,7 +514,6 @@ TEST(ExactnessTest, RequireExactAdmitsFlatIndexPlansButNotGraphs) {
                    .Execute();
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   EXPECT_EQ(exact->stats.join_operator, "index");
-  EXPECT_EQ(exact->stats.join_access_path, plan::AccessPath::kProbe);
   auto tensor = flat_engine.Query("q")
                     .EJoin("db", "emb", condition)
                     .Via("tensor")
