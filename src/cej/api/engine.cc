@@ -44,22 +44,14 @@ Engine::Engine(const Options& options) : options_(options) {
   if (options_.adaptive_stats) {
     stats::CostCalibrator::Options calibrator_options;
     calibrator_options.seed = cost_params_;
-    calibrator_options.ring_capacity = options_.stats_ring_capacity;
     calibrator_options.refit_interval = options_.stats_refit_interval;
-    calibrator_options.decay = options_.stats_decay;
     calibrator_options.explore_cost_ratio = options_.stats_explore_cost_ratio;
     calibrator_options.explore_budget_ns = options_.stats_explore_budget_ns;
     calibrator_ =
         std::make_unique<stats::CostCalibrator>(calibrator_options);
   }
-  index::IndexManager::Options manager_options;
-  manager_options.auto_build_after_losses = options_.index_auto_build_losses;
-  manager_options.auto_build = options_.index_auto_build_options;
-  manager_options.family_aware = options_.index_auto_build_family_aware;
-  manager_options.auto_build_recall_target = options_.index_auto_build_recall;
   index_manager_ = std::make_unique<index::IndexManager>(
-      std::move(manager_options), pool_.get(), embedding_cache_.get(),
-      options_.simd);
+      pool_.get(), embedding_cache_.get(), options_.simd);
 }
 
 Engine::~Engine() = default;
@@ -313,7 +305,6 @@ plan::ExecContext Engine::MakeExecContext() const {
   // shared_ptr for the query's whole lifetime — ReplaceTable racing the
   // execution invalidates the catalog, not this snapshot.
   context.index_catalog = index_manager_->Snapshot();
-  context.index_manager = index_manager_.get();
   return context;
 }
 

@@ -103,23 +103,6 @@ class Engine {
     /// pool width and the operator's shard-row floor; a fixed count pins
     /// it for experiments / bench sweeps.
     size_t join_shard_count = 0;
-    /// Auto-build policy: after this many cost-scan losses where an index
-    /// plan *would* have won (the index operator priced cheapest but no
-    /// index existed for the join key), the engine builds
-    /// `index_auto_build_options` for that (table, column, model) in the
-    /// background and atomically publishes it — the next query picks the
-    /// probe path unforced. 0 disables auto-building.
-    size_t index_auto_build_losses = 0;
-    /// What the auto-build policy constructs (family + build knobs).
-    index::IndexBuildOptions index_auto_build_options;
-    /// Family-aware auto-build: pick flat/IVF/HNSW per key from the
-    /// losing queries' observed shapes (probe batch size, condition kind,
-    /// table size) and the recall target below, overriding the configured
-    /// family (index::ChooseIndexFamily documents the rule).
-    bool index_auto_build_family_aware = false;
-    /// Recall the family-aware policy must preserve; >= 0.999 forces the
-    /// exact flat family.
-    double index_auto_build_recall = 1.0;
 
     // --- Adaptive statistics & cost calibration (cej::stats) ------------
     /// Master switch: record every executed join as an observation
@@ -129,13 +112,9 @@ class Engine {
     /// to string-key joins (see plan::ExecContext::calibrator). Off by
     /// default: the static seed/CalibrateCosts behaviour is unchanged.
     bool adaptive_stats = false;
-    /// Per-operator observation history depth (Explain / diagnostics).
-    size_t stats_ring_capacity = 64;
     /// Auto-refit after this many calibratable observations (0 = refit
     /// only on Engine::Recalibrate()).
     size_t stats_refit_interval = 8;
-    /// Exponential forgetting per observation in (0, 1].
-    double stats_decay = 0.98;
     /// Exploration bound: an eligible exact operator with no recorded
     /// observations runs once when its quote is within this factor of
     /// the best quote. 0 disables exploration.
@@ -220,7 +199,7 @@ class Engine {
                                            const std::string& model_name = "");
 
   /// The index subsystem — exposed for introspection (catalog snapshots,
-  /// build/loss counters) and the WaitForBackgroundBuilds test hook.
+  /// build/invalidation counters).
   index::IndexManager* index_manager() const { return index_manager_.get(); }
 
   Result<std::shared_ptr<const storage::Relation>> Table(
@@ -322,10 +301,8 @@ class Engine {
   std::vector<std::unique_ptr<const model::EmbeddingModel>> owned_models_;
   std::string default_model_;
 
-  /// Declared after the catalogs: the manager's destructor joins
-  /// background index builds, which may still be using the pool, the
-  /// embedding cache and owned models — all of which must therefore
-  /// outlive it.
+  /// Borrows the pool and the embedding cache, so it is declared after
+  /// them (and destroyed before them).
   std::unique_ptr<index::IndexManager> index_manager_;
 
   /// Declared LAST (destroyed first): the server's destructor joins its

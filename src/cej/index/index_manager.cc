@@ -15,8 +15,7 @@ constexpr uint32_t kEnvelopeMagic = 0x584a4543;  // "CEJX"
 constexpr uint32_t kEnvelopeVersion = 1;
 
 // Keys join the parts with NUL — unlike '.', it cannot occur in a
-// practical table/column name, so "a.b"."c" and "a"."b.c" never collide
-// in lookup or in the prefix scans below.
+// practical table/column name, so "a.b"."c" and "a"."b.c" never collide.
 std::string CatalogKey(const std::string& table, const std::string& column) {
   std::string key = table;
   key.push_back('\0');
@@ -24,42 +23,7 @@ std::string CatalogKey(const std::string& table, const std::string& column) {
   return key;
 }
 
-std::string LossKeyPrefix(const std::string& table) {
-  std::string prefix = table;
-  prefix.push_back('\0');
-  return prefix;
-}
-
-std::string LossKey(const std::string& table, const std::string& column,
-                    const model::EmbeddingModel* model) {
-  std::string key = CatalogKey(table, column);
-  key.push_back('\0');
-  key += std::to_string(reinterpret_cast<uintptr_t>(model));
-  return key;
-}
-
 }  // namespace
-
-IndexFamily ChooseIndexFamily(double avg_left_rows, size_t table_rows,
-                              bool topk_dominated, double recall_target) {
-  // The exact family is the only one that can GUARANTEE recall; it is
-  // also strictly best on small tables, where brute-force probes beat any
-  // structure's traversal overhead and the build is a no-op.
-  constexpr size_t kSmallTableRows = 20'000;
-  constexpr double kGraphWorthyBatch = 32.0;
-  if (recall_target >= 0.999) return IndexFamily::kFlat;
-  if (table_rows < kSmallTableRows) return IndexFamily::kFlat;
-  // Large approximate-tolerant tables: graph beam search is the small-k
-  // sweet spot, but its build is the most expensive of the three — only
-  // worth it when the observed probe batches are big enough to amortize.
-  // Range/threshold-dominated workloads (and trickles of tiny batches)
-  // take IVF: cluster scans cover ranges without per-probe beam tuning
-  // and build an order of magnitude cheaper.
-  if (topk_dominated && avg_left_rows >= kGraphWorthyBatch) {
-    return IndexFamily::kHnsw;
-  }
-  return IndexFamily::kIvf;
-}
 
 const char* IndexFamilyName(IndexFamily family) {
   switch (family) {
@@ -91,12 +55,6 @@ const IndexCatalogEntry* IndexCatalogSnapshot::FindExact(
   return nullptr;
 }
 
-uint64_t IndexCatalogSnapshot::TableGeneration(
-    const std::string& table) const {
-  auto it = generations_.find(table);
-  return it == generations_.end() ? 0 : it->second;
-}
-
 const IndexCatalogEntry* IndexCatalogSnapshot::Find(
     const std::string& table, const std::string& column,
     const model::EmbeddingModel* model) const {
@@ -123,15 +81,12 @@ const IndexCatalogEntry* IndexCatalogSnapshot::Find(
 // IndexManager
 // ---------------------------------------------------------------------------
 
-IndexManager::IndexManager(Options options, ThreadPool* pool,
-                           EmbeddingCache* cache, la::SimdMode simd)
-    : options_(std::move(options)),
-      pool_(pool),
+IndexManager::IndexManager(ThreadPool* pool, EmbeddingCache* cache,
+                           la::SimdMode simd)
+    : pool_(pool),
       cache_(cache),
       simd_(simd),
       snapshot_(std::make_shared<const IndexCatalogSnapshot>()) {}
-
-IndexManager::~IndexManager() { WaitForBackgroundBuilds(); }
 
 Result<std::shared_ptr<const la::Matrix>> IndexManager::SourceVectors(
     const std::string& table, const storage::Relation& relation,
@@ -252,7 +207,6 @@ void IndexManager::PublishLocked(IndexCatalogEntry entry) {
 void IndexManager::RebuildSnapshotLocked() {
   auto fresh = std::make_shared<IndexCatalogSnapshot>();
   fresh->by_key_ = catalog_;
-  fresh->generations_ = table_generations_;
   fresh->entries_ = 0;
   for (const auto& [key, publications] : catalog_) {
     fresh->entries_ += publications.size();
@@ -357,91 +311,12 @@ void IndexManager::InvalidateTable(const std::string& table) {
     stats_.invalidations += it->second.size();
     it = catalog_.erase(it);
   }
-  // Reset the loss ledger for the table: counts (and any build-started
-  // latch) refer to the replaced contents.
-  const std::string prefix = LossKeyPrefix(table);
-  for (auto it = losses_.begin(); it != losses_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0) {
-      it = losses_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Unconditional: even with no entries dropped, new snapshots must see
-  // the bumped generation (RecordIndexLoss hands it to auto-builds).
   RebuildSnapshotLocked();
 }
 
 std::shared_ptr<const IndexCatalogSnapshot> IndexManager::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return snapshot_;
-}
-
-void IndexManager::RecordIndexLoss(
-    const std::string& table,
-    std::shared_ptr<const storage::Relation> relation,
-    const std::string& column, const model::EmbeddingModel* model,
-    uint64_t generation, const IndexLossContext& context) {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.losses_recorded;
-  if (options_.auto_build_after_losses == 0) return;
-  LossEntry& entry = losses_[LossKey(table, column, model)];
-  if (entry.build_started) return;
-  ++entry.count;
-  entry.sum_left_rows += static_cast<double>(context.left_rows);
-  if (context.topk) ++entry.topk_losses;
-  if (context.table_rows > 0) entry.table_rows = context.table_rows;
-  if (entry.count < options_.auto_build_after_losses) return;
-  entry.build_started = true;
-  ++stats_.auto_builds;
-  // Family-aware policy: pick the family from what the LOSING QUERIES
-  // looked like — average probe batch, dominant condition kind, table
-  // size — rather than one configured family for every workload.
-  IndexBuildOptions build_options = options_.auto_build;
-  if (options_.family_aware) {
-    const size_t table_rows =
-        entry.table_rows > 0 ? entry.table_rows : relation->num_rows();
-    build_options.family = ChooseIndexFamily(
-        entry.sum_left_rows / static_cast<double>(entry.count), table_rows,
-        entry.topk_losses * 2 >= entry.count,
-        options_.auto_build_recall_target);
-  }
-  // Reap finished builders first so long-lived engines don't accumulate
-  // joinable zombie threads between WaitForBackgroundBuilds calls.
-  ReapFinishedBuildsLocked();
-  // Everything the builder needs was captured at PLAN time — relation
-  // and generation belong together, so a table replaced since the plan
-  // (or while the build runs) discards the result at publish instead of
-  // publishing an index over the old contents.
-  BackgroundBuild build;
-  build.done = std::make_shared<std::atomic<bool>>(false);
-  build.thread = std::thread(
-      [this, table, relation = std::move(relation), column, model,
-       generation, build_options, done = build.done] {
-        auto built = Build(table, relation, column, model, build_options,
-                           generation);
-        if (!built.ok()) {
-          // Failed (e.g. the policy family cannot serve this column, or
-          // the table was replaced mid-build): reset the latch so later
-          // losses may retry after the threshold accumulates again.
-          std::lock_guard<std::mutex> relock(mu_);
-          losses_[LossKey(table, column, model)] = LossEntry{};
-        }
-        done->store(true, std::memory_order_release);
-      });
-  background_builds_.push_back(std::move(build));
-}
-
-void IndexManager::ReapFinishedBuildsLocked() {
-  for (auto it = background_builds_.begin();
-       it != background_builds_.end();) {
-    if (it->done->load(std::memory_order_acquire)) {
-      it->thread.join();  // Already past its last statement: returns fast.
-      it = background_builds_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 Status IndexManager::Save(const std::string& table, const std::string& column,
@@ -585,18 +460,6 @@ Result<IndexBuildStats> IndexManager::Load(
   entry.column = column;
   CEJ_RETURN_IF_ERROR(PublishIfCurrent(std::move(entry), generation));
   return stats;
-}
-
-void IndexManager::WaitForBackgroundBuilds() {
-  while (true) {
-    std::vector<BackgroundBuild> joinable;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      joinable.swap(background_builds_);
-    }
-    if (joinable.empty()) return;
-    for (BackgroundBuild& build : joinable) build.thread.join();
-  }
 }
 
 IndexManager::Stats IndexManager::stats() const {

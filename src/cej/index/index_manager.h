@@ -1,7 +1,7 @@
 // Engine-owned index lifecycle management: a named catalog of vector
 // indexes keyed by (table, column, model, family), pool-parallel builds
-// sourced from the embedding cache, an auto-build policy driven by
-// cost-scan losses, serde-based persistence, and invalidation hooks.
+// sourced from the embedding cache, serde-based persistence, and
+// invalidation hooks.
 //
 // This is the layer between storage and the operator registry that the
 // probe access path was missing: before it, index plans existed only when
@@ -17,11 +17,9 @@
 //     taken at plan time; entries are shared_ptr-held, so a concurrent
 //     invalidation (Engine::ReplaceTable) can never pull a probed index
 //     out from under a running query (the stale-index hazard).
-//   * When a cost scan loses a plan an index WOULD have won (the index
-//     operator priced cheapest but no index existed), the executor records
-//     the loss here; after `auto_build_after_losses` losses for the same
-//     (table, column, model) the manager builds in the background and
-//     publishes — the next query picks the probe path unforced.
+//   * Indexes enter the catalog only when a caller asks (Build, Load,
+//     RegisterExternal); the cost scan then weighs probing one that exists
+//     against scanning, and never builds one on its own.
 //   * Save/Load persist built indexes in a family-tagged envelope so the
 //     construction cost (the dominant index cost, paper Table I) is paid
 //     once across processes.
@@ -29,12 +27,10 @@
 #ifndef CEJ_INDEX_INDEX_MANAGER_H_
 #define CEJ_INDEX_INDEX_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -79,27 +75,6 @@ struct IndexBuildOptions {
   /// ("" = the engine default model). Ignored for stored vector columns.
   std::string model;
 };
-
-/// Workload shape observed at cost-scan loss time — what the family-aware
-/// auto-build policy aggregates per (table, column, model) to pick a
-/// family from evidence instead of configuration.
-struct IndexLossContext {
-  size_t left_rows = 0;   ///< Probe batch size of the losing query.
-  size_t table_rows = 0;  ///< Right (indexed) relation size.
-  bool topk = false;      ///< Top-k condition (vs threshold/range).
-};
-
-/// The family-aware auto-build rule (ROADMAP "family-aware auto-build"):
-///
-///   * recall_target >= 0.999 -> flat    (only the exact family can keep it)
-///   * small tables           -> flat    (exact, trivial build, probes cheap)
-///   * top-k dominated, large probe batches -> HNSW (graph beam search is
-///     the small-k sweet spot; big batches amortize the costly build)
-///   * otherwise (range/threshold dominated, or tiny probe batches)
-///                            -> IVF     (cluster scans cover ranges
-///     without per-probe beam tuning, and build far cheaper than a graph)
-IndexFamily ChooseIndexFamily(double avg_left_rows, size_t table_rows,
-                              bool topk_dominated, double recall_target);
 
 /// What one Build / Load actually did.
 struct IndexBuildStats {
@@ -151,12 +126,6 @@ class IndexCatalogSnapshot {
                                 const std::string& column,
                                 const model::EmbeddingModel* model) const;
 
-  /// The table's invalidation generation AS OF this snapshot — the value
-  /// to hand back to RecordIndexLoss, so an auto-build triggered by this
-  /// plan can never publish over a table replaced since the plan was
-  /// made.
-  uint64_t TableGeneration(const std::string& table) const;
-
   size_t size() const { return entries_; }
 
  private:
@@ -167,38 +136,16 @@ class IndexCatalogSnapshot {
 
   // Catalog key -> publications, oldest first.
   std::unordered_map<std::string, std::vector<IndexCatalogEntry>> by_key_;
-  std::unordered_map<std::string, uint64_t> generations_;
   size_t entries_ = 0;
 };
 
-/// The subsystem. Thread-safe: builds, lookups, invalidations and
-/// background publications may interleave freely.
+/// The subsystem. Thread-safe: builds, lookups and invalidations may
+/// interleave freely.
 class IndexManager {
  public:
-  struct Options {
-    /// Auto-build policy: after this many recorded cost-scan losses for
-    /// the same (table, column, model), build `auto_build` in the
-    /// background and publish. 0 disables the policy (losses are still
-    /// counted for stats).
-    size_t auto_build_after_losses = 0;
-    /// What the policy builds.
-    IndexBuildOptions auto_build;
-    /// When true, `auto_build.family` is OVERRIDDEN per key by
-    /// ChooseIndexFamily over the aggregated loss-time workload shapes
-    /// (observed probe batch sizes, condition kinds, table size) and
-    /// `auto_build_recall_target`. The remaining auto_build knobs
-    /// (per-family build options, probe defaults, model) apply unchanged.
-    bool family_aware = false;
-    /// Recall the family-aware policy must preserve: >= 0.999 forces the
-    /// exact flat family.
-    double auto_build_recall_target = 1.0;
-  };
-
-  /// Monotonic counters (losses/invalidations) plus build accounting.
+  /// Monotonic invalidation counter plus build accounting.
   struct Stats {
-    uint64_t builds = 0;       ///< Successful Build/Load publications.
-    uint64_t auto_builds = 0;  ///< Subset triggered by the loss policy.
-    uint64_t losses_recorded = 0;
+    uint64_t builds = 0;         ///< Successful Build/Load publications.
     uint64_t invalidations = 0;  ///< Entries dropped by InvalidateTable.
     /// Builds whose table was replaced while they ran: the result was
     /// discarded instead of published (it covered the OLD contents).
@@ -208,9 +155,7 @@ class IndexManager {
 
   /// `pool`, `cache` may be null (single-threaded builds / no cache);
   /// both are borrowed and must outlive the manager.
-  IndexManager(Options options, ThreadPool* pool, EmbeddingCache* cache,
-               la::SimdMode simd);
-  ~IndexManager();  // Joins in-flight background builds.
+  IndexManager(ThreadPool* pool, EmbeddingCache* cache, la::SimdMode simd);
 
   IndexManager(const IndexManager&) = delete;
   IndexManager& operator=(const IndexManager&) = delete;
@@ -250,23 +195,6 @@ class IndexManager {
   /// The current catalog as an immutable shared snapshot.
   std::shared_ptr<const IndexCatalogSnapshot> Snapshot() const;
 
-  /// Records that a cost scan executed a scan plan where an index plan
-  /// would have priced cheaper. At the policy threshold, kicks off ONE
-  /// background build for the key (relation/model are captured here so
-  /// the builder never touches engine catalogs). `generation` is the
-  /// PLAN-TIME generation (IndexCatalogSnapshot::TableGeneration) the
-  /// `relation` snapshot belongs to — a build from a since-replaced
-  /// relation is discarded at publish. `context` carries the losing
-  /// query's workload shape, aggregated per key for the family-aware
-  /// policy. Cheap; called from the executor's hot path only on
-  /// index-less probe-eligible joins.
-  void RecordIndexLoss(const std::string& table,
-                       std::shared_ptr<const storage::Relation> relation,
-                       const std::string& column,
-                       const model::EmbeddingModel* model,
-                       uint64_t generation,
-                       const IndexLossContext& context = {});
-
   /// Persists the most recent manager-built entry for (table, column)
   /// into a family-tagged envelope at `path`. External entries (unknown
   /// family) cannot be saved.
@@ -282,31 +210,9 @@ class IndexManager {
       const std::string& column, const model::EmbeddingModel* model,
       const std::string& path, uint64_t generation);
 
-  /// Blocks until every background build kicked off so far has finished
-  /// (published or failed). Deterministic test hook; also called by the
-  /// destructor.
-  void WaitForBackgroundBuilds();
-
   Stats stats() const;
 
  private:
-  struct LossEntry {
-    size_t count = 0;
-    bool build_started = false;
-    // Aggregated loss-time workload shape (family-aware policy inputs).
-    double sum_left_rows = 0.0;
-    size_t topk_losses = 0;
-    size_t table_rows = 0;  // Last observed (right) relation size.
-  };
-
-  /// One background build: the done flag lets RecordIndexLoss reap
-  /// finished threads opportunistically instead of letting joinable
-  /// zombies accumulate until shutdown.
-  struct BackgroundBuild {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
   // Sources the vectors behind `relation`.`column`, SHARED: stored
   // vector columns and embedding-cache hits cost zero copies (the flat
   // family indexes the shared matrix directly; graph/cluster families
@@ -325,7 +231,6 @@ class IndexManager {
 
   void PublishLocked(IndexCatalogEntry entry);
   void RebuildSnapshotLocked();
-  void ReapFinishedBuildsLocked();
 
   // Validates `generation` (captured when the build started) against the
   // table's current invalidation generation, then publishes. A build that
@@ -334,7 +239,6 @@ class IndexManager {
   // stale-index hazard the snapshots close.
   Status PublishIfCurrent(IndexCatalogEntry entry, uint64_t generation);
 
-  const Options options_;
   ThreadPool* const pool_;
   EmbeddingCache* const cache_;
   const la::SimdMode simd_;
@@ -342,11 +246,9 @@ class IndexManager {
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::vector<IndexCatalogEntry>> catalog_;
   std::shared_ptr<const IndexCatalogSnapshot> snapshot_;
-  std::unordered_map<std::string, LossEntry> losses_;
   /// Bumped by InvalidateTable; builds capture it at start and publish
   /// only when still current.
   std::unordered_map<std::string, uint64_t> table_generations_;
-  std::vector<BackgroundBuild> background_builds_;
   Stats stats_;
 };
 

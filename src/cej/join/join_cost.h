@@ -96,11 +96,11 @@ struct JoinWorkload {
   /// planner's RequireExact() filter admits the probe path despite the
   /// index operator's conservative `exact = false` trait.
   bool index_exact = false;
-  /// Expected embedding-cache state per side: true means the side's model
-  /// term will NOT be paid (the engine cache already holds — or, for the
-  /// left side, the executor has already materialized — the full-column
-  /// embedding). Cost formulas price a partial hit asymmetrically: a warm
-  /// left and cold right still pays |S| * M, never (|R| + |S|) * M.
+  /// Expected model work per side: true means the side's model term will
+  /// NOT be paid (stored vectors, an intermediate, a subtree already run,
+  /// or a column the engine cache already holds). Cost formulas price a
+  /// partial hit asymmetrically: a warm left and cold right still pays
+  /// |S| * M, never (|R| + |S|) * M.
   bool left_embed_cached = false;
   bool right_embed_cached = false;
   /// The side is a materialized intermediate join result (a chained

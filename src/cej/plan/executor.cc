@@ -70,11 +70,6 @@ struct Selection {
   std::string runner_up;
   double runner_up_cost = std::numeric_limits<double>::infinity();
   bool explored = false;
-
-  // The cheapest quote the scan saw — what the auto-build loss check
-  // compares a hypothetical index plan against (the chosen quote unless
-  // exploration overrode the price ranking).
-  double best_quote() const { return explored ? runner_up_cost : cost; }
 };
 
 // The physical join chosen for one EJoin (Section VI.E): the operator and
@@ -439,9 +434,10 @@ class PlanExecutor {
   //
   // Vector key: the index operator is eligible when the right subtree is a
   // probe pattern the catalog holds an index for; the scan family competes
-  // otherwise. The left side always arrives embedded; the right side is
-  // embedded inside the measured window only by a cold Embed pipeline on
-  // the scan path.
+  // otherwise. A side is priced with a model term only when it is a
+  // matched Embed pipeline over a cold column (EmbedsCold). The left side
+  // always arrives embedded; the right side is embedded inside the
+  // measured window only by such a pipeline on the scan path.
   Result<ChosenJoin> ChooseJoin(const NodePtr& node, const Column& left_key) {
     ChosenJoin chosen;
     join::JoinWorkload& workload = chosen.workload;
@@ -496,31 +492,23 @@ class PlanExecutor {
     // term — but its materialization gather was not free.
     workload.left_intermediate = node->left->kind == NodeKind::kEJoin;
     workload.right_intermediate = node->right->kind == NodeKind::kEJoin;
-    // Expected embedding-cache state (cache-aware costing): a warm full
-    // column will be served with zero model calls, so its side's model
-    // term must not be priced — asymmetrically per side (a warm left and
-    // cold right still pays |S| * M).
+    // Cache-aware costing, asymmetric per side (a warm left and cold right
+    // still pays |S| * M).
     const ProbePattern left_pattern =
         MatchProbePattern(node->left, node->left_key);
-    workload.left_embed_cached =
-        workload.left_intermediate ||
-        (left_pattern.embed != nullptr &&
-         left_pattern.embed->output_column == node->left_key &&
-         PeekColumnWarm(left_pattern));
-    workload.right_embed_cached =
-        workload.right_intermediate || PeekColumnWarm(chosen.pattern);
+    const bool left_embeds =
+        EmbedsCold(left_pattern) &&
+        left_pattern.embed->output_column == node->left_key;
+    const bool right_embeds = EmbedsCold(chosen.pattern);
+    workload.left_embed_cached = !left_embeds;
+    workload.right_embed_cached = !right_embeds;
 
     CEJ_ASSIGN_OR_RETURN(chosen.selection,
                          SelectOperator(workload, /*string_domain=*/false));
     chosen.observed = workload;
     chosen.observed.left_embed_cached = true;
-    // Probes never embed the right side; stored-vector and
-    // pre-materialized right sides never pay model calls inside the
-    // measured window either — only a cold-cache Embed pipeline does.
-    if (chosen.probes() || chosen.pattern.embed == nullptr) {
-      chosen.observed.right_embed_cached = true;
-    }
-    ReportIndexLoss(node, chosen);
+    // Probes never embed the right side.
+    chosen.observed.right_embed_cached = chosen.probes() || !right_embeds;
     return chosen;
   }
 
@@ -570,46 +558,6 @@ class PlanExecutor {
                              static_cast<double>(base_rows);
     chosen->selected_rows = std::move(rows);
     return Status::OK();
-  }
-
-  // Auto-build feedback: an unforced cost scan ran index-less on a
-  // probe-eligible shape — if an index WOULD have priced cheaper than the
-  // winner, record the loss so the manager can build one in the background
-  // (require_exact scans are skipped: the approximate index operator could
-  // never have won them).
-  void ReportIndexLoss(const NodePtr& node, const ChosenJoin& chosen) {
-    const ProbePattern& pattern = chosen.pattern;
-    if (!pattern.matches || chosen.index() != nullptr ||
-        context_.index_manager == nullptr ||
-        context_.index_catalog == nullptr ||
-        !context_.force_operator.empty() || context_.require_exact) {
-      return;
-    }
-    auto index_op = registry_.Find("index");
-    if (!index_op.ok()) return;
-    join::JoinWorkload hypothetical = chosen.workload;
-    hypothetical.index_available = true;
-    if ((*index_op)->EstimateCost(hypothetical, context_.cost_params) >=
-        chosen.selection.best_quote()) {
-      return;
-    }
-    // The snapshot's generation pairs with the plan's relation snapshot: if
-    // the table is replaced before (or while) the auto-build runs, the
-    // build is discarded at publish instead of covering the old contents.
-    // The workload shape rides along so the family-aware policy can pick
-    // flat/IVF/HNSW from what the losing queries actually looked like.
-    index::IndexLossContext loss_context;
-    loss_context.left_rows = chosen.workload.left_rows;
-    loss_context.table_rows = chosen.workload.right_rows;
-    loss_context.topk =
-        chosen.workload.condition.kind == join::JoinCondition::Kind::kTopK;
-    context_.index_manager->RecordIndexLoss(
-        pattern.scan->table_name, pattern.scan->relation,
-        pattern.embed != nullptr ? pattern.embed->input_column
-                                 : node->right_key,
-        pattern.embed != nullptr ? pattern.embed->model : nullptr,
-        context_.index_catalog->TableGeneration(pattern.scan->table_name),
-        loss_context);
   }
 
   // Runs the chosen join into `sink`, timing the right-side preparation
@@ -888,23 +836,24 @@ class PlanExecutor {
     context_.calibrator->Record(std::move(obs));
   }
 
-  // True when the engine embedding cache already holds the FULL column
-  // behind `pattern`'s Embed node at the matching shape — that side's
-  // model term will not be paid. Side-effect-free (Peek moves neither the
-  // LRU order nor the hit/miss counters).
-  bool PeekColumnWarm(const ProbePattern& pattern) const {
-    if (!pattern.matches || pattern.embed == nullptr ||
-        pattern.embed->model == nullptr ||
+  // True when running `pattern` calls the model: a matched Embed pipeline
+  // over a column the engine embedding cache does not hold at the matching
+  // shape. Stored-vector scans, intermediates and unmatched subtrees (run
+  // before pricing) never do. Side-effect-free (Peek moves neither the LRU
+  // order nor the hit/miss counters).
+  bool EmbedsCold(const ProbePattern& pattern) const {
+    if (!pattern.matches || pattern.embed == nullptr) return false;
+    if (pattern.embed->model == nullptr ||
         context_.embedding_cache == nullptr) {
-      return false;
+      return true;
     }
     const std::shared_ptr<const la::Matrix> warm =
         context_.embedding_cache->Peek(pattern.scan->table_name,
                                        pattern.embed->input_column,
                                        pattern.embed->model);
-    return warm != nullptr &&
-           warm->rows() == pattern.scan->relation->num_rows() &&
-           warm->cols() == pattern.embed->model->dim();
+    return warm == nullptr ||
+           warm->rows() != pattern.scan->relation->num_rows() ||
+           warm->cols() != pattern.embed->model->dim();
   }
 
   join::JoinOptions BaseOptions() const {

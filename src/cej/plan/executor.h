@@ -63,10 +63,6 @@ struct ExecContext {
   /// index::IndexManager::RegisterExternal. Lookups are counted in
   /// ExecStats.
   std::shared_ptr<const index::IndexCatalogSnapshot> index_catalog;
-  /// When set, the executor reports cost-scan losses (an index plan would
-  /// have won but no index existed) here — feeding the manager's
-  /// auto-build policy.
-  index::IndexManager* index_manager = nullptr;
   /// Physical operators to select from; nullptr = the global registry.
   const join::JoinOperatorRegistry* operators = nullptr;
   /// Engine-owned cache of full-column embeddings keyed by
@@ -119,8 +115,7 @@ struct ExecStats {
   /// Index-catalog lookups made while planning probe-eligible joins
   /// (counted only when an index catalog is configured, mirroring the
   /// embedding-cache counters). A hit made an index plan eligible; a miss
-  /// explains why no probe path was available — and feeds the auto-build
-  /// policy.
+  /// explains why no probe path was available.
   uint64_t index_catalog_hits = 0;
   uint64_t index_catalog_misses = 0;
   /// Construction wall time of the catalog-backed indexes this plan's

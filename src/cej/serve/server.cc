@@ -16,6 +16,8 @@ namespace {
 
 constexpr char kProbeColumn[] = "probe";
 constexpr char kProbeTable[] = "<serve:probes>";
+// Completed-query timings retained for the p50/p99 estimate.
+constexpr size_t kLatencyRingCapacity = 1024;
 
 // Canonical batch-compatibility key: two queued queries fuse iff every
 // plan-shaping input matches — same right table/column/model, same operator
@@ -97,7 +99,7 @@ const QueryResponse& Ticket::Get() const {
 Server::Server(Engine* engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)) {
   CEJ_CHECK(engine_ != nullptr);
-  latency_ring_.reserve(std::max<size_t>(options_.latency_ring_capacity, 1));
+  latency_ring_.reserve(kLatencyRingCapacity);
   const size_t workers = std::max<size_t>(options_.worker_threads, 1);
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
@@ -435,14 +437,12 @@ void Server::ResolveLocked(const PendingPtr& pending, QueryResponse response,
       if (response.fused) {
         ++tenant.stats.fused;
       }
-      if (latency_ring_.size() <
-          std::max<size_t>(options_.latency_ring_capacity, 1)) {
+      if (latency_ring_.size() < kLatencyRingCapacity) {
         latency_ring_.push_back(response.latency_seconds);
       } else {
         latency_ring_[latency_cursor_] = response.latency_seconds;
       }
-      latency_cursor_ = (latency_cursor_ + 1) %
-                        std::max<size_t>(options_.latency_ring_capacity, 1);
+      latency_cursor_ = (latency_cursor_ + 1) % kLatencyRingCapacity;
       latency_count_ = latency_ring_.size();
       break;
     case Outcome::kFailed:

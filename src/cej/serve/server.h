@@ -120,8 +120,6 @@ struct ServerOptions {
   /// Weighted round-robin quanta per tenant (absent = 1): a tenant with
   /// weight w dispatches up to w queries per turn.
   std::unordered_map<std::string, size_t> tenant_weights;
-  /// Completed-query timings retained for the p50/p99 estimate.
-  size_t latency_ring_capacity = 1024;
 };
 
 /// Per-tenant counters (ServeStats::tenants).

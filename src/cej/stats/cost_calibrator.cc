@@ -18,6 +18,9 @@ constexpr double kThetaFloor = 1e-6;
 constexpr double kThetaCeil = 1e12;
 constexpr double kEtaFloor = 0.05;
 constexpr double kEtaAlpha = 0.2;  // EWMA step for the scaling efficiency.
+// Ridge pull toward the seed (absolute, in normal-equation units —
+// negligible once a coefficient has real observations).
+constexpr double kRidge = 1.0;
 
 // The persisted state, serialized as one trivially-copyable block guarded
 // by an FNV-1a checksum (corrupt envelopes must be rejected, not loaded).
@@ -112,7 +115,6 @@ void ThetaFromParams(const join::CostParams& p, double theta[4]) {
 
 CostCalibrator::CostCalibrator(Options options)
     : options_(std::move(options)),
-      workload_stats_(options_.ring_capacity),
       current_(std::make_shared<const join::CostParams>(options_.seed)) {
   ThetaFromParams(options_.seed, theta_seed_);
   std::memcpy(theta_, theta_seed_, sizeof(theta_));
@@ -217,11 +219,10 @@ void CostCalibrator::RefitLocked() {
   if (calibratable_ == 0) return;
   double a[kCoeffs][kCoeffs];
   double b[kCoeffs];
-  const double ridge = std::max(options_.ridge, 1e-9);
   for (size_t i = 0; i < kCoeffs; ++i) {
     for (size_t j = 0; j < kCoeffs; ++j) a[i][j] = normal_[i][j];
-    a[i][i] += ridge;
-    b[i] = rhs_[i] + ridge * theta_seed_[i];
+    a[i][i] += kRidge;
+    b[i] = rhs_[i] + kRidge * theta_seed_[i];
   }
   double theta[kCoeffs];
   SolveNormal(a, b, theta);

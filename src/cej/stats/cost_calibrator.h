@@ -54,8 +54,6 @@ class CostCalibrator {
     /// Starting coefficients (and the ridge anchor for coefficients no
     /// observation has touched yet).
     join::CostParams seed;
-    /// Per-operator observation ring size (history/Explain depth).
-    size_t ring_capacity = 64;
     /// Auto-refit after this many new calibratable observations
     /// (0 = refit only on explicit Refit() / Engine::Recalibrate()).
     size_t refit_interval = 8;
@@ -70,9 +68,6 @@ class CostCalibrator {
     /// (sum of max(0, measured - runner_up quote)) exceeds this, the cost
     /// scan stops exploring (ExplorationAllowed()). 0 = unbounded.
     double explore_budget_ns = 0.0;
-    /// Ridge pull toward the seed (absolute, in normal-equation units —
-    /// negligible once a coefficient has real observations).
-    double ridge = 1.0;
   };
 
   /// One refit's outcome, kept for Explain() and the convergence tests.

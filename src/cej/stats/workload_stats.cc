@@ -10,11 +10,11 @@ uint64_t WorkloadStats::Record(Observation obs) {
   const uint64_t stamped = obs.sequence;
   OperatorRing& ring = rings_[obs.op];
   ++ring.recorded;
-  if (ring.ring.size() < ring_capacity_) {
+  if (ring.ring.size() < kRingCapacity) {
     ring.ring.push_back(std::move(obs));
   } else {
     ring.ring[ring.next] = std::move(obs);
-    ring.next = (ring.next + 1) % ring_capacity_;
+    ring.next = (ring.next + 1) % kRingCapacity;
   }
   return stamped;
 }

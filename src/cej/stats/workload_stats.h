@@ -5,13 +5,11 @@
 // planner priced, the quote it priced it at, the operator it chose (and
 // the runner-up it rejected), and the seconds the operator actually took.
 // WorkloadStats keeps a bounded ring of them per operator so the engine
-// can (a) refit the cost model against execution reality, (b) steer the
-// index auto-build policy from observed shapes instead of configuration,
-// and (c) show the per-join misprediction history in Explain().
+// can (a) refit the cost model against execution reality and (b) show the
+// per-join misprediction history in Explain().
 //
 // The store is deliberately dumb: it never interprets the features — the
-// CostCalibrator owns the regression, the IndexManager owns the build
-// policy. Thread-safe; recording is O(1).
+// CostCalibrator owns the regression. Thread-safe; recording is O(1).
 
 #ifndef CEJ_STATS_WORKLOAD_STATS_H_
 #define CEJ_STATS_WORKLOAD_STATS_H_
@@ -74,9 +72,10 @@ struct Observation {
 /// exposed read-only through Engine::calibrator()->workload_stats().
 class WorkloadStats {
  public:
-  explicit WorkloadStats(size_t ring_capacity)
-      : ring_capacity_(ring_capacity == 0 ? 1 : ring_capacity) {}
+  /// Observations retained per operator (history/Explain depth).
+  static constexpr size_t kRingCapacity = 64;
 
+  WorkloadStats() = default;
   WorkloadStats(const WorkloadStats&) = delete;
   WorkloadStats& operator=(const WorkloadStats&) = delete;
 
@@ -97,8 +96,6 @@ class WorkloadStats {
   /// Total observations ever recorded across all operators.
   uint64_t TotalRecorded() const;
 
-  size_t ring_capacity() const { return ring_capacity_; }
-
   void Clear();
 
  private:
@@ -108,7 +105,6 @@ class WorkloadStats {
     uint64_t recorded = 0;          // Monotonic count.
   };
 
-  const size_t ring_capacity_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, OperatorRing> rings_;
   uint64_t sequence_ = 0;

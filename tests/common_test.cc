@@ -1,6 +1,7 @@
 // Tests for cej/common: Status/Result, RNG, thread pool, aligned buffers,
 // CPU detection.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
@@ -8,6 +9,7 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -327,17 +329,28 @@ TEST(ThreadPoolTest, CallerRunsChunksWhileWaiting) {
 TEST(ThreadPoolTest, ParallelForRangeRespectsMinChunk) {
   ThreadPool pool(8);
   std::mutex mu;
-  std::vector<size_t> sizes;
+  std::vector<std::pair<size_t, size_t>> chunks;
   pool.ParallelForRange(
       0, 100,
       [&](size_t b, size_t e) {
         std::lock_guard<std::mutex> lock(mu);
-        sizes.push_back(e - b);
+        chunks.emplace_back(b, e);
       },
       /*min_chunk=*/64);
-  // With min_chunk 64 over 100 items there can be at most 2 chunks.
-  EXPECT_LE(sizes.size(), 2u);
-  for (size_t i = 0; i + 1 < sizes.size(); ++i) EXPECT_GE(sizes[i], 64u);
+  // Workers finish in any order; check the chunks by position.
+  std::sort(chunks.begin(), chunks.end());
+  ASSERT_FALSE(chunks.empty());
+  EXPECT_EQ(chunks.front().first, 0u);
+  EXPECT_EQ(chunks.back().second, 100u);
+  for (size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_EQ(chunks[i].second, chunks[i + 1].first) << "gap or overlap";
+  }
+  // With min_chunk 64 over 100 items there can be at most 2 chunks, and
+  // only the last one may be short.
+  EXPECT_LE(chunks.size(), 2u);
+  for (size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_GE(chunks[i].second - chunks[i].first, 64u);
+  }
 }
 
 TEST(ThreadPoolTest, SequentialUseAcrossMultipleParallelFors) {

@@ -3,7 +3,7 @@
 // settings, embedding-cache-sourced builds, sharded probe byte identity
 // across shard counts, build -> ReplaceTable -> rebuild invalidation,
 // save/load round trips, snapshot pinning against concurrent invalidation,
-// the auto-build policy, and concurrent BuildIndex + Stream (the TSan
+// builds racing ReplaceTable, and concurrent BuildIndex + Stream (the TSan
 // suite covers this file).
 
 #include <algorithm>
@@ -374,7 +374,7 @@ TEST(ShardedIndexProbeTest, CostPricesProbeParallelism) {
 }
 
 // ---------------------------------------------------------------------------
-// Unforced selection (the acceptance workload) and auto-build
+// Unforced selection (the acceptance workload)
 // ---------------------------------------------------------------------------
 
 TEST(IndexSelectionTest, EngineBuiltIndexWinsTheCostScanUnforced) {
@@ -421,82 +421,33 @@ TEST(IndexSelectionTest, EngineBuiltIndexWinsTheCostScanUnforced) {
   EXPECT_EQ(chosen_sink.pairs(), tensor_sink.pairs());
 }
 
-TEST(IndexSelectionTest, AutoBuildPublishesInBackgroundAfterLosses) {
-  Engine::Options options;
-  options.num_threads = 2;
-  options.simd = la::SimdMode::kForceScalar;
-  options.index_auto_build_losses = 2;
-  options.index_auto_build_options.family = index::IndexFamily::kFlat;
-  Engine engine(options);
-  la::Matrix left = workload::RandomUnitVectors(40, 8, 163);
-  la::Matrix right = workload::RandomUnitVectors(500, 8, 164);
-  ASSERT_TRUE(engine.RegisterTable("q", VectorTable(left.Clone())).ok());
-  ASSERT_TRUE(engine.RegisterTable("db", VectorTable(right.Clone())).ok());
-  // Make probes overwhelmingly cheap so every scan is a recorded loss.
+TEST(IndexSelectionTest, StoredVectorSidesArePricedWithoutModelTerms) {
+  // Both sides are stored vector columns, so no run calls the model. With
+  // an expensive model a phantom M * (|R| + |S|) on the scan quote would
+  // hand the join to the probe; priced honestly, the sweep wins.
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterTable(
+                  "q", VectorTable(workload::RandomUnitVectors(50, 16, 167)))
+                  .ok());
+  ASSERT_TRUE(
+      engine
+          .RegisterTable(
+              "db", VectorTable(workload::RandomUnitVectors(5000, 16, 168)))
+          .ok());
+  index::IndexBuildOptions flat;
+  flat.family = index::IndexFamily::kFlat;
+  ASSERT_TRUE(engine.BuildIndex("db", "emb", flat).ok());
   join::CostParams params;
-  params.probe_base = 0.0;
-  params.probe_per_candidate = 1e-9;
+  params.model = 1e4;
   engine.set_cost_params(params);
 
-  const auto condition = join::JoinCondition::TopK(2);
-  auto query = [&] {
-    return engine.Query("q").EJoin("db", "emb", condition).Execute();
-  };
-
-  // Two losses: still scanning (no index exists yet), each one recorded.
-  for (int i = 0; i < 2; ++i) {
-    auto result = query();
-    ASSERT_TRUE(result.ok());
-    EXPECT_NE(result->stats.join_operator, "index") << "loss " << i;
-    EXPECT_EQ(result->stats.index_catalog_misses, 1u);
-  }
-  engine.index_manager()->WaitForBackgroundBuilds();
-  const auto manager_stats = engine.index_manager()->stats();
-  EXPECT_EQ(manager_stats.losses_recorded, 2u);
-  EXPECT_EQ(manager_stats.auto_builds, 1u);
-  EXPECT_EQ(manager_stats.builds, 1u);
-
-  // Third query: the background build published — the probe path wins
-  // unforced and (flat family, scalar kernel) matches the scan exactly.
-  auto probe = query();
-  ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(probe->stats.join_operator, "index");
-  EXPECT_EQ(probe->stats.index_catalog_hits, 1u);
-  auto tensor =
-      engine.Query("q").EJoin("db", "emb", condition).Via("tensor").Execute();
-  ASSERT_TRUE(tensor.ok());
-  const auto& a =
-      probe->relation.ColumnByName("similarity").value()->double_values();
-  const auto& b =
-      tensor->relation.ColumnByName("similarity").value()->double_values();
-  EXPECT_EQ(a, b);
-}
-
-TEST(IndexSelectionTest, DisabledPolicyOnlyCountsLosses) {
-  Engine::Options options;
-  options.num_threads = 2;
-  Engine engine(options);
-  ASSERT_TRUE(engine.RegisterTable(
-                  "q", VectorTable(workload::RandomUnitVectors(8, 8, 165)))
-                  .ok());
-  ASSERT_TRUE(engine.RegisterTable(
-                  "db", VectorTable(workload::RandomUnitVectors(200, 8, 166)))
-                  .ok());
-  join::CostParams params;
-  params.probe_base = 0.0;
-  params.probe_per_candidate = 1e-9;
-  engine.set_cost_params(params);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine.Query("q")
+  auto result = engine.Query("q")
                     .EJoin("db", "emb", join::JoinCondition::TopK(1))
-                    .Execute()
-                    .ok());
-  }
-  engine.index_manager()->WaitForBackgroundBuilds();
-  const auto stats = engine.index_manager()->stats();
-  EXPECT_EQ(stats.losses_recorded, 3u);
-  EXPECT_EQ(stats.auto_builds, 0u);
-  EXPECT_EQ(stats.builds, 0u);
+                    .Execute();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->stats.join_operator, "tensor");
+  EXPECT_EQ(result->stats.index_catalog_hits, 1u);
+  EXPECT_EQ(result->stats.model_calls, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -543,11 +494,16 @@ TEST(IndexSnapshotTest, ReplaceTableCannotFreeAProbedIndex) {
 }
 
 // An embedding model whose calls block until Open(): lets a test hold a
-// background build inside its embedding phase while the main thread
-// races a ReplaceTable against it.
+// BuildIndex inside its embedding phase while the main thread races a
+// ReplaceTable against it. WaitEntered() returns once a call is blocked.
 class GatedModel : public model::EmbeddingModel {
  public:
   size_t dim() const override { return 4; }
+
+  void WaitEntered() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
 
   void Open() {
     {
@@ -560,6 +516,10 @@ class GatedModel : public model::EmbeddingModel {
  protected:
   void EmbedImpl(std::string_view input, float* out) const override {
     std::unique_lock<std::mutex> lock(mu_);
+    if (!entered_) {
+      entered_ = true;
+      cv_.notify_all();
+    }
     cv_.wait(lock, [&] { return open_; });
     for (size_t d = 0; d < dim(); ++d) out[d] = 0.0f;
     out[input.size() % dim()] = 1.0f;
@@ -568,6 +528,7 @@ class GatedModel : public model::EmbeddingModel {
  private:
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
   bool open_ = false;
 };
 
@@ -575,35 +536,36 @@ TEST(IndexSnapshotTest, BuildRacingReplaceTableDiscardsItsResult) {
   // A build that STARTED before a ReplaceTable covers the old contents;
   // publishing it after the invalidation would silently reintroduce the
   // stale-index hazard. The generation check must discard it.
-  Engine::Options options;
-  options.index_auto_build_losses = 1;
-  options.index_auto_build_options.family = index::IndexFamily::kFlat;
-  Engine engine(options);
+  Engine engine;
   GatedModel model;
   auto words = workload::RandomStrings(30, 4, 8, 191);
   ASSERT_TRUE(engine.RegisterTable("r", WordsTable(words, 192)).ok());
   ASSERT_TRUE(engine.RegisterModel("gated", &model).ok());
 
-  // Trip the policy directly with plan-time state (relation + its
-  // generation): the background build starts and blocks inside the gated
-  // embedding.
-  auto relation = engine.Table("r");
-  ASSERT_TRUE(relation.ok());
-  engine.index_manager()->RecordIndexLoss(
-      "r", *relation, "word", &model,
-      engine.index_manager()->Snapshot()->TableGeneration("r"));
+  // The build captures the generation and relation, then blocks inside
+  // the gated embedding on its own thread...
+  index::IndexBuildOptions flat;
+  flat.family = index::IndexFamily::kFlat;
+  flat.model = "gated";
+  Status build_status;
+  std::thread builder([&] {
+    build_status = engine.BuildIndex("r", "word", flat).status();
+  });
+  model.WaitEntered();
 
-  // The table is replaced while the build is in flight...
-  ASSERT_TRUE(
+  // ...while the table is replaced. (EXPECT, not ASSERT: the builder must
+  // be released and joined on every path.)
+  EXPECT_TRUE(
       engine.ReplaceTable("r", WordsTable(workload::RandomStrings(30, 4, 8,
                                                                   193),
                                           194))
           .ok());
   model.Open();
-  engine.index_manager()->WaitForBackgroundBuilds();
+  builder.join();
 
-  // ...so its result was discarded, not published: no stale index, no
-  // stale cache entry.
+  // Its result was discarded, not published: no stale index, no stale
+  // cache entry.
+  EXPECT_FALSE(build_status.ok());
   const auto stats = engine.index_manager()->stats();
   EXPECT_EQ(stats.stale_builds_discarded, 1u);
   EXPECT_EQ(stats.builds, 0u);
@@ -612,14 +574,11 @@ TEST(IndexSnapshotTest, BuildRacingReplaceTableDiscardsItsResult) {
 }
 
 TEST(IndexSnapshotTest, LossFromAStalePlanCannotPublish) {
-  // The inverse interleaving: the ReplaceTable completes BEFORE the loss
-  // is recorded, but the loss carries the PLAN-TIME relation and
-  // generation (a long-running query that planned against the old
-  // table). The auto-build from that stale pair must be discarded.
-  Engine::Options options;
-  options.index_auto_build_losses = 1;
-  options.index_auto_build_options.family = index::IndexFamily::kFlat;
-  Engine engine(options);
+  // The inverse interleaving: the ReplaceTable completes BEFORE the build
+  // starts, but the build carries the PLAN-TIME relation and generation (a
+  // caller that captured them against the old table). A build from that
+  // stale pair must be discarded.
+  Engine engine;
   model::SubwordHashModel model;
   ASSERT_TRUE(engine
                   .RegisterTable("r", WordsTable(workload::RandomStrings(
@@ -631,18 +590,19 @@ TEST(IndexSnapshotTest, LossFromAStalePlanCannotPublish) {
   // Plan-time state.
   auto old_relation = engine.Table("r");
   ASSERT_TRUE(old_relation.ok());
-  const uint64_t plan_generation =
-      engine.index_manager()->Snapshot()->TableGeneration("r");
+  const uint64_t plan_generation = engine.index_manager()->TableGeneration("r");
 
-  // The table is replaced, THEN the stale plan reports its loss.
+  // The table is replaced, THEN the stale pair is built.
   ASSERT_TRUE(
       engine.ReplaceTable("r", WordsTable(workload::RandomStrings(25, 4, 8,
                                                                   197),
                                           198))
           .ok());
-  engine.index_manager()->RecordIndexLoss("r", *old_relation, "word", &model,
-                                          plan_generation);
-  engine.index_manager()->WaitForBackgroundBuilds();
+  index::IndexBuildOptions flat;
+  flat.family = index::IndexFamily::kFlat;
+  auto built = engine.index_manager()->Build("r", *old_relation, "word",
+                                             &model, flat, plan_generation);
+  EXPECT_FALSE(built.ok());
 
   const auto stats = engine.index_manager()->stats();
   EXPECT_EQ(stats.stale_builds_discarded, 1u);

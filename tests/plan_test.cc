@@ -407,8 +407,7 @@ class ExecutorJoinTest : public ::testing::Test {
 // hand indexes to the executor.
 std::shared_ptr<const index::IndexCatalogSnapshot> CatalogWith(
     const index::VectorIndex* idx, const std::string& column = "word_emb") {
-  index::IndexManager manager(index::IndexManager::Options{}, nullptr,
-                              nullptr, la::SimdMode::kAuto);
+  index::IndexManager manager(nullptr, nullptr, la::SimdMode::kAuto);
   CEJ_CHECK(manager.RegisterExternal("r", column, idx).ok());
   return manager.Snapshot();
 }

@@ -4,8 +4,8 @@
 // isolation of refits against running plans, calibration persistence with
 // corrupt- and old-envelope rejection, cache-aware costing (partial hits
 // priced asymmetrically; warm streams served from the cache),
-// exactness-aware probe traits under RequireExact(), the family-aware
-// auto-build policy, and concurrent adaptive streams (TSan suite).
+// exactness-aware probe traits under RequireExact(), and concurrent
+// adaptive streams (TSan suite).
 
 #include <algorithm>
 #include <atomic>
@@ -482,6 +482,55 @@ TEST(CacheAwareCostingTest, WarmCacheStreamServesTensorFromTheCache) {
   EXPECT_EQ(warm_stats.model_calls, 0u);
 }
 
+TEST(CacheAwareCostingTest, StackedEmbedRightSideIsPricedLikeASingleEmbed) {
+  // The join-graph lowering stacks Embed(Embed(Scan)) for an input with
+  // two string join keys. On a warm cache that side calls no model, so a
+  // forced tensor run must be quoted exactly like the Embed(Scan) shape.
+  Engine engine;
+  model::SubwordHashModel model;
+  const size_t n = 400;
+  auto schema = Schema::Create(
+      {{"word", DataType::kString, 0}, {"tag", DataType::kString, 0}});
+  ASSERT_TRUE(schema.ok());
+  std::vector<Column> columns;
+  columns.push_back(Column::String(workload::RandomStrings(n, 4, 8, 371)));
+  columns.push_back(Column::String(workload::RandomStrings(n, 4, 8, 372)));
+  auto right_rel =
+      Relation::Create(std::move(schema).value(), std::move(columns));
+  ASSERT_TRUE(right_rel.ok());
+  auto right = std::make_shared<const Relation>(std::move(right_rel).value());
+  auto left = WordsTable(workload::RandomStrings(20, 4, 8, 373));
+
+  auto single = [&] {
+    return plan::Embed(plan::Scan("r", right), "word", &model, "word_emb");
+  };
+  auto stacked = [&] {
+    return plan::Embed(
+        plan::Embed(plan::Scan("r", right), "tag", &model, "tag_emb"),
+        "word", &model, "word_emb");
+  };
+  auto run = [&](plan::NodePtr right_side) {
+    auto plan = plan::EJoin(
+        plan::Embed(plan::Scan("l", left), "word", &model, "word_emb"),
+        std::move(right_side), "word_emb", "word_emb", nullptr,
+        join::JoinCondition::TopK(2));
+    plan::ExecContext context = engine.MakeExecContext();
+    context.force_operator = "tensor";
+    plan::ExecStats stats;
+    EXPECT_TRUE(plan::Execute(plan, context, &stats).ok());
+    return stats;
+  };
+
+  run(stacked());  // Warms l.word, r.tag and r.word.
+  const plan::ExecStats warm_single = run(single());
+  const plan::ExecStats warm_stacked = run(stacked());
+  EXPECT_EQ(warm_single.model_calls, 0u);
+  EXPECT_EQ(warm_stacked.model_calls, 0u);
+  EXPECT_GT(warm_single.estimated_cost_ns, 0.0);
+  EXPECT_DOUBLE_EQ(warm_stacked.estimated_cost_ns,
+                   warm_single.estimated_cost_ns);
+}
+
 // ---------------------------------------------------------------------------
 // Exactness-aware probe traits
 // ---------------------------------------------------------------------------
@@ -546,107 +595,6 @@ TEST(ExactnessTest, RequireExactAdmitsFlatIndexPlansButNotGraphs) {
       hnsw_engine.Query("q").EJoin("db", "emb", condition).Execute();
   ASSERT_TRUE(admitted.ok());
   EXPECT_EQ(admitted->stats.join_operator, "index");
-}
-
-// ---------------------------------------------------------------------------
-// Family-aware auto-build
-// ---------------------------------------------------------------------------
-
-TEST(FamilyAwareAutoBuildTest, RuleCoversTheWorkloadMatrix) {
-  using index::ChooseIndexFamily;
-  using index::IndexFamily;
-  // A recall guarantee forces the exact family regardless of shape.
-  EXPECT_EQ(ChooseIndexFamily(1000, 1'000'000, true, 0.9999),
-            IndexFamily::kFlat);
-  // Small tables: brute force beats any structure, build is a no-op.
-  EXPECT_EQ(ChooseIndexFamily(500, 5'000, true, 0.9), IndexFamily::kFlat);
-  // Large, top-k dominated, batches big enough to amortize a graph build.
-  EXPECT_EQ(ChooseIndexFamily(64, 500'000, true, 0.9), IndexFamily::kHnsw);
-  // Range/threshold dominated: cluster scans, an order cheaper to build.
-  EXPECT_EQ(ChooseIndexFamily(64, 500'000, false, 0.9), IndexFamily::kIvf);
-  // Top-k but a trickle of tiny batches: the graph build never pays off.
-  EXPECT_EQ(ChooseIndexFamily(4, 500'000, true, 0.9), IndexFamily::kIvf);
-}
-
-TEST(FamilyAwareAutoBuildTest, PolicyOverridesTheConfiguredFamily) {
-  // Configured to build HNSW — but the observed workload (a 500-row
-  // table) makes flat the right answer, and family-aware mode must
-  // override the configuration from evidence.
-  Engine::Options options;
-  options.num_threads = 2;
-  options.simd = la::SimdMode::kForceScalar;
-  options.index_auto_build_losses = 2;
-  options.index_auto_build_options.family = index::IndexFamily::kHnsw;
-  options.index_auto_build_family_aware = true;
-  options.index_auto_build_recall = 0.9;
-  Engine engine(options);
-  ASSERT_TRUE(engine.RegisterTable(
-                  "q", VectorTable(workload::RandomUnitVectors(40, 8, 351)))
-                  .ok());
-  ASSERT_TRUE(engine.RegisterTable(
-                  "db", VectorTable(workload::RandomUnitVectors(500, 8, 352)))
-                  .ok());
-  join::CostParams cheap_probes;
-  cheap_probes.probe_base = 0.0;
-  cheap_probes.probe_per_candidate = 1e-9;
-  engine.set_cost_params(cheap_probes);
-
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(engine.Query("q")
-                    .EJoin("db", "emb", join::JoinCondition::TopK(2))
-                    .Execute()
-                    .ok());
-  }
-  engine.index_manager()->WaitForBackgroundBuilds();
-  auto snapshot = engine.index_manager()->Snapshot();
-  const index::IndexCatalogEntry* entry =
-      snapshot->Find("db", "emb", nullptr);
-  ASSERT_NE(entry, nullptr) << "the auto-build should have published";
-  EXPECT_EQ(entry->family, index::IndexFamily::kFlat)
-      << "family-aware policy must override the configured HNSW";
-
-  // The published flat index serves the next query unforced.
-  auto probe = engine.Query("q")
-                   .EJoin("db", "emb", join::JoinCondition::TopK(2))
-                   .Execute();
-  ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(probe->stats.join_operator, "index");
-}
-
-TEST(FamilyAwareAutoBuildTest, LargeThresholdWorkloadsGetIvf) {
-  Engine::Options options;
-  options.num_threads = 2;
-  options.index_auto_build_losses = 2;
-  options.index_auto_build_options.family = index::IndexFamily::kFlat;
-  options.index_auto_build_family_aware = true;
-  options.index_auto_build_recall = 0.9;
-  Engine engine(options);
-  ASSERT_TRUE(engine.RegisterTable(
-                  "q", VectorTable(workload::RandomUnitVectors(64, 4, 361)))
-                  .ok());
-  ASSERT_TRUE(
-      engine
-          .RegisterTable(
-              "db", VectorTable(workload::RandomUnitVectors(21'000, 4, 362)))
-          .ok());
-  join::CostParams cheap_probes;
-  cheap_probes.probe_base = 0.0;
-  cheap_probes.probe_per_candidate = 1e-9;
-  engine.set_cost_params(cheap_probes);
-
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(engine.Query("q")
-                    .EJoin("db", "emb", join::JoinCondition::Threshold(0.8f))
-                    .Execute()
-                    .ok());
-  }
-  engine.index_manager()->WaitForBackgroundBuilds();
-  auto snapshot = engine.index_manager()->Snapshot();
-  const index::IndexCatalogEntry* entry =
-      snapshot->Find("db", "emb", nullptr);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->family, index::IndexFamily::kIvf)
-      << "threshold-dominated losses over a large table should pick IVF";
 }
 
 // ---------------------------------------------------------------------------
